@@ -10,9 +10,10 @@
 # coordinates, exactly the kind of arithmetic where an off-by-one reads
 # out of bounds without failing a functional assertion.
 #
-# A fourth leg rebuilds the kernel tests with -DHNLPU_SIMD=OFF so the
-# portable fallback of the Simd kernel (the only body on non-x86 hosts)
-# keeps passing the same bit-exactness sweep as the vector bodies.
+# A fourth leg rebuilds the kernel and serving tests with
+# -DHNLPU_SIMD=OFF so the portable fallback of the Simd kernel (the
+# only body on non-x86 hosts), single-column and batched, keeps
+# passing the same bit-exactness sweeps as the vector bodies.
 #
 # A fifth leg rebuilds the router and fault tests under
 # UndefinedBehaviorSanitizer: the retry backoff computes shifted
@@ -112,13 +113,15 @@ echo "== tier-1: traced serving run emits valid JSON =="
 python3 -m json.tool "$BUILD_DIR"/BENCH_serving.json > /dev/null
 python3 -m json.tool "$BUILD_DIR"/TRACE_serving.json > /dev/null
 
-echo "== tier-1: kernel tests with SIMD disabled =="
+echo "== tier-1: kernel + serving tests with SIMD disabled =="
 # -DHNLPU_SIMD=OFF drops the AVX bodies; HnKernel::Simd then resolves
-# to the portable std::popcount tile loop, which must pass the same
-# scalar-vs-packed-vs-simd bit-exactness sweep.
+# to the portable std::popcount loops -- the single-column tile loop
+# and the multi-column batched body -- which must pass the same
+# scalar-vs-packed-vs-simd bit-exactness sweep and the same batched
+# GEMM and engine-batch sweep as the vector bodies.
 cmake -B "$NOSIMD_DIR" -S . -DHNLPU_SIMD=OFF
-cmake --build "$NOSIMD_DIR" -j --target test_hn_kernel
-(cd "$NOSIMD_DIR" && ctest --output-on-failure -L '^kernel$')
+cmake --build "$NOSIMD_DIR" -j --target test_hn_kernel --target test_serving
+(cd "$NOSIMD_DIR" && ctest --output-on-failure -L '^(kernel|serving)$')
 
 echo "== tier-1: fault + prefix tests under AddressSanitizer =="
 # The block pool hands out raw double* payloads indexed by computed

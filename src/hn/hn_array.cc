@@ -151,9 +151,7 @@ HnArray::gemmSerial(
     // (per-column CachedPlanes skip the serialisation when a recycled
     // scratch already holds that column); the planes are immutable for
     // the lifetime of the GEMM and shared read-only by all row
-    // workers.  The Simd kernel shares the Packed batch traversal
-    // here: the batched kernel already amortises the weight-side walk
-    // across columns, which is the bigger lever for GEMM.
+    // workers.
     std::optional<HnScratchLease> lease;
     std::vector<const PackedPlanes *> planes;
     if (kernel != HnKernel::Scalar) {
@@ -185,9 +183,14 @@ HnArray::gemmSerial(
                          b0 += kHnBatchChunk) {
                         const std::size_t cols =
                             std::min(kHnBatchChunk, batch - b0);
-                        neurons_[r].computePackedBatch(
-                            planes.data() + b0, cols, row_out + b0,
-                            local);
+                        if (kernel == HnKernel::Simd)
+                            neurons_[r].computeSimdBatch(
+                                planes.data() + b0, cols, row_out + b0,
+                                local);
+                        else
+                            neurons_[r].computePackedBatch(
+                                planes.data() + b0, cols, row_out + b0,
+                                local);
                     }
                 } else {
                     for (std::size_t b = 0; b < batch; ++b) {

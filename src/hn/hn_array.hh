@@ -99,9 +99,13 @@ class HnArray
      * exact sum of the per-column counters.  With HnKernel::Packed the
      * columns are serialised once into per-column PackedPlanes and each
      * neuron row runs one region-mask traversal over all columns
-     * (chunks of kHnBatchChunk), amortising mask loads and region-walk
-     * overhead across the batch; Scalar evaluates column by column.
-     * Rows are still partitioned across @p pool workers.
+     * (chunks of kHnBatchChunk, HardwiredNeuron::computePackedBatch),
+     * amortising mask loads and region-walk overhead across the batch;
+     * HnKernel::Simd runs the same traversal with the vectorised
+     * multi-column body (HardwiredNeuron::computeSimdBatch), so the
+     * kernel choice means the same thing at every batch size; Scalar
+     * evaluates column by column.  Rows are still partitioned across
+     * @p pool workers.
      */
     std::vector<std::int64_t> gemmSerial(
         const std::vector<std::vector<std::int64_t>> &activations,

@@ -107,10 +107,11 @@ HardwiredNeuron::computePacked(const PackedPlanes &planes,
 
     const auto &twice = fp4TwiceValueTable();
     std::int64_t total = 0;
-    std::size_t popcount_bits = 0;
+    std::size_t region_bits = 0;
 
     for (const RegionMask &region : regionMasks_) {
         const std::uint64_t *mask = maskWords_.data() + region.wordOffset;
+        region_bits += region.bits;
         // Region integer sum: sum_bit (+-2^bit) * popcount_bit -- the
         // identical int64 additions the scalar path's SerialAccumulator
         // performs plane by plane, so the per-region totals (and with
@@ -124,10 +125,6 @@ HardwiredNeuron::computePacked(const PackedPlanes &planes,
             const std::int64_t weight = std::int64_t(1) << bit;
             region_sum += (bit + 1 == width ? -weight : weight) * count;
         }
-        // Activity accounts logical wires examined (one per region
-        // input per plane), not host words: the counters model the
-        // hardware popcount fabric, not the emulation.
-        popcount_bits += std::size_t(width) * region.bits;
         // Constant multiply, folded straight into the running total:
         // csaReduce() is an exact integer sum of the per-region
         // products, so accumulating them directly yields the same
@@ -135,13 +132,7 @@ HardwiredNeuron::computePacked(const PackedPlanes &planes,
         total += region_sum * twice[region.code];
     }
 
-    if (activity) {
-        const CsaTreeShape tree = csaTreeShape(regionMasks_.size());
-        activity->cycles += bitSerialCycles(width, tree.depth);
-        activity->popcountBitOps += popcount_bits;
-        activity->multiplyOps += regionMasks_.size();
-        activity->treeAddOps += tree.compressorCount + 1;
-    }
+    addActivity(width, 1, region_bits, activity);
     return total;
 }
 
@@ -170,33 +161,22 @@ HardwiredNeuron::computeSimd(const PackedPlanes &planes,
 
     const auto &twice = fp4TwiceValueTable();
     std::int64_t total = 0;
-    std::size_t popcount_bits = 0;
+    std::size_t region_bits = 0;
     for (std::size_t r = 0; r < regionMasks_.size(); ++r) {
         total += region_sums[r] * twice[regionMasks_[r].code];
-        // Logical wires examined, exactly as the scalar/packed paths
-        // account them: plane- and word-level zero skips are host
-        // shortcuts, the modelled fabric still clocks every wire.
-        popcount_bits += std::size_t(width) * regionMasks_[r].bits;
+        region_bits += regionMasks_[r].bits;
     }
 
-    if (activity) {
-        const CsaTreeShape tree = csaTreeShape(regionMasks_.size());
-        activity->cycles += bitSerialCycles(width, tree.depth);
-        activity->popcountBitOps += popcount_bits;
-        activity->multiplyOps += regionMasks_.size();
-        activity->treeAddOps += tree.compressorCount + 1;
-    }
+    addActivity(width, 1, region_bits, activity);
     return total;
 }
 
 void
-HardwiredNeuron::computePackedBatch(const PackedPlanes *const *planes,
-                                    std::size_t batch, std::int64_t *out,
-                                    HnActivity *activity) const
+HardwiredNeuron::checkBatch(const PackedPlanes *const *planes,
+                            std::size_t batch) const
 {
     hnlpu_assert(batch >= 1 && batch <= kHnBatchChunk,
                  "batch ", batch, " outside [1, ", kHnBatchChunk, "]");
-    const unsigned width = planes[0]->width();
     for (std::size_t b = 0; b < batch; ++b) {
         hnlpu_assert(planes[b]->laneCount() ==
                          topology_.tmpl().inputCount,
@@ -204,9 +184,37 @@ HardwiredNeuron::computePackedBatch(const PackedPlanes *const *planes,
         hnlpu_assert(planes[b]->wordsPerPlane() == wordsPerPlane_,
                      "packed plane geometry mismatch in batch column ",
                      b);
-        hnlpu_assert(planes[b]->width() == width,
+        hnlpu_assert(planes[b]->width() == planes[0]->width(),
                      "batch columns must share one width");
     }
+}
+
+void
+HardwiredNeuron::addActivity(unsigned width, std::size_t columns,
+                             std::size_t region_bits,
+                             HnActivity *activity) const
+{
+    if (!activity)
+        return;
+    // Logical wires examined (one per region input per plane), not host
+    // words: the counters model the hardware popcount fabric, not the
+    // emulation, so plane/word zero skips and the batched kernels'
+    // shared mask loads never change them.  A batch is exactly
+    // `columns` single-column evaluations' worth of logical work.
+    const CsaTreeShape tree = csaTreeShape(regionMasks_.size());
+    activity->cycles += columns * bitSerialCycles(width, tree.depth);
+    activity->popcountBitOps += columns * width * region_bits;
+    activity->multiplyOps += columns * regionMasks_.size();
+    activity->treeAddOps += columns * (tree.compressorCount + 1);
+}
+
+void
+HardwiredNeuron::computePackedBatch(const PackedPlanes *const *planes,
+                                    std::size_t batch, std::int64_t *out,
+                                    HnActivity *activity) const
+{
+    checkBatch(planes, batch);
+    const unsigned width = planes[0]->width();
 
     // Per-(column, bit) plane base pointers, hoisted once per neuron
     // (width <= 63 by BitSerializer contract).
@@ -219,10 +227,11 @@ HardwiredNeuron::computePackedBatch(const PackedPlanes *const *planes,
     const auto &twice = fp4TwiceValueTable();
     for (std::size_t b = 0; b < batch; ++b)
         out[b] = 0;
-    std::size_t popcount_bits = 0;
+    std::size_t region_bits = 0;
 
     for (const RegionMask &region : regionMasks_) {
         const std::uint64_t *mask = maskWords_.data() + region.wordOffset;
+        region_bits += region.bits;
         // One region accumulator per column, updated plane by plane in
         // the same order computePacked uses, so every column's region
         // sum (and final total) is the identical int64 value.
@@ -264,19 +273,42 @@ HardwiredNeuron::computePackedBatch(const PackedPlanes *const *planes,
         }
         for (std::size_t b = 0; b < batch; ++b)
             out[b] += region_sum[b] * twice[region.code];
-        popcount_bits += std::size_t(width) * region.bits * batch;
     }
 
-    if (activity) {
-        // Exactly batch single-column evaluations' worth of logical
-        // work: the host amortisation is wall-clock only, the modelled
-        // fabric still clocks every column through every plane.
-        const CsaTreeShape tree = csaTreeShape(regionMasks_.size());
-        activity->cycles += batch * bitSerialCycles(width, tree.depth);
-        activity->popcountBitOps += popcount_bits;
-        activity->multiplyOps += batch * regionMasks_.size();
-        activity->treeAddOps += batch * (tree.compressorCount + 1);
+    addActivity(width, batch, region_bits, activity);
+}
+
+void
+HardwiredNeuron::computeSimdBatch(const PackedPlanes *const *planes,
+                                  std::size_t batch, std::int64_t *out,
+                                  HnActivity *activity) const
+{
+    // Same cutover as computeSimd: below kHnSimdMinWords the Packed
+    // batch loop is the fastest exact path.
+    if (wordsPerPlane_ < kHnSimdMinWords) {
+        computePackedBatch(planes, batch, out, activity);
+        return;
     }
+    checkBatch(planes, batch);
+
+    // Region-major sums, [r * batch + b]: region count <= kFp4Codes.
+    std::int64_t region_sums[kFp4Codes * kHnBatchChunk];
+    hnRegionSumsBatch(planes, batch, maskWords_.data(),
+                      regionMasks_.data(), regionMasks_.size(),
+                      wordsPerPlane_, region_sums);
+
+    const auto &twice = fp4TwiceValueTable();
+    for (std::size_t b = 0; b < batch; ++b)
+        out[b] = 0;
+    std::size_t region_bits = 0;
+    for (std::size_t r = 0; r < regionMasks_.size(); ++r) {
+        const std::int64_t weight = twice[regionMasks_[r].code];
+        for (std::size_t b = 0; b < batch; ++b)
+            out[b] += region_sums[r * batch + b] * weight;
+        region_bits += regionMasks_[r].bits;
+    }
+
+    addActivity(planes[0]->width(), batch, region_bits, activity);
 }
 
 std::int64_t

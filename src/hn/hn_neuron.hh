@@ -30,10 +30,10 @@
 namespace hnlpu {
 
 /**
- * Maximum batch width one computePackedBatch() call accepts.  The
- * kernel keeps one region accumulator and one plane-pointer row per
- * column on the stack; callers with wider batches chunk their columns
- * (HnArray::gemmSerial does).
+ * Maximum batch width one computePackedBatch() / computeSimdBatch()
+ * call accepts.  The kernels keep per-column region accumulators and a
+ * plane-pointer row per column on the stack; callers with wider
+ * batches chunk their columns (HnArray::gemmSerial does).
  */
 inline constexpr std::size_t kHnBatchChunk = 8;
 
@@ -138,6 +138,20 @@ class HardwiredNeuron
                             std::size_t batch, std::int64_t *out,
                             HnActivity *activity = nullptr) const;
 
+    /**
+     * computePackedBatch with the SIMD multi-column body
+     * (hnRegionSumsBatch, src/hn/hn_simd.hh): per region and per group
+     * of up to four columns, each mask vector is loaded once and ANDed
+     * into every column's plane, per-bit popcounts fold into per-column
+     * vector accumulators, and each (region, column) pays one
+     * horizontal reduction.  Same contract, results and HnActivity as
+     * computePackedBatch (and so as per-column computeSimd).  Rows
+     * below kHnSimdMinWords delegate to computePackedBatch.
+     */
+    void computeSimdBatch(const PackedPlanes *const *planes,
+                          std::size_t batch, std::int64_t *out,
+                          HnActivity *activity = nullptr) const;
+
     /** Same result via direct integer arithmetic (oracle). */
     std::int64_t computeReference(
         const std::vector<std::int64_t> &activations) const;
@@ -151,6 +165,20 @@ class HardwiredNeuron
     }
 
   private:
+    /** Assert the batch-kernel contract on @p planes / @p batch. */
+    void checkBatch(const PackedPlanes *const *planes,
+                    std::size_t batch) const;
+
+    /**
+     * Add @p columns single-column evaluations' worth of logical
+     * activity at @p width to @p activity (no-op when null).
+     * @p region_bits is the sum of regionMasks_[r].bits, which the
+     * kernels total in their region loops: a member would grow the
+     * object, and a separate loop here costs measurable time per row.
+     */
+    void addActivity(unsigned width, std::size_t columns,
+                     std::size_t region_bits, HnActivity *activity) const;
+
     WireTopology topology_;
     /** Packed mask stripes; see RegionMask. */
     std::vector<std::uint64_t> maskWords_;

@@ -1,7 +1,9 @@
 #include "hn/hn_simd.hh"
 
 #include <algorithm>
+#include <atomic>
 #include <bit>
+#include <iterator>
 
 #include "common/logging.hh"
 
@@ -27,9 +29,32 @@ namespace {
  */
 constexpr std::size_t kTileWords = 512;
 
+/**
+ * Columns per group of the batched body: each mask vector is loaded
+ * once per group and ANDed into this many columns' planes.  Four keeps
+ * the per-column count and region accumulators of the AVX2 body inside
+ * its sixteen vector registers.
+ */
+constexpr std::size_t kGroupColumns = 4;
+
 using RegionSumsFn = void (*)(const PackedPlanes &, const std::uint64_t *,
                               const RegionMask *, std::size_t, std::size_t,
                               std::int64_t *);
+
+/** One column's plane base pointers, indexed by bit (width <= 63). */
+using PlaneRow = const std::uint64_t *[63];
+
+/**
+ * One (tile, region, column group) step of the batched body: for each
+ * column g of the group, adds to sums[g] the weighted popcount sum of
+ * plane_ptr[g]'s planes against the @p len mask words at @p mask, over
+ * the planes @p live selects.  @p tile is the word offset of the tile
+ * in every plane (@p mask is already offset).
+ */
+using GroupSumsFn = void (*)(const PlaneRow *plane_ptr, std::size_t tile,
+                             const std::uint64_t *mask, std::size_t len,
+                             std::uint64_t live, unsigned width,
+                             std::int64_t *sums);
 
 /**
  * Shared traversal shape of every tier: tiles outermost so the masks
@@ -85,6 +110,54 @@ regionSumsTiled(const PackedPlanes &planes, const std::uint64_t *mask_words,
     }
 }
 
+/**
+ * Batched traversal shared by every tier: tiles, then regions, then
+ * groups of up to kGroupColumns columns, each handed to the tier's
+ * exact-width group body (groups[columns - 1]), so a ragged last group
+ * does no padded work.  A plane is skipped for a group only when it is
+ * all-zero in every column of the group; a plane that is zero in some
+ * columns only popcounts to 0 there.  One indirect call per (tile,
+ * region, group) is noise next to the group body's width x words
+ * popcounts above the kHnSimdMinWords cutover.
+ */
+void
+regionSumsBatchTiled(const GroupSumsFn *groups,
+                     const PackedPlanes *const *planes, std::size_t cols,
+                     const std::uint64_t *mask_words,
+                     const RegionMask *regions, std::size_t region_count,
+                     std::size_t words_per_plane, std::int64_t *region_sums)
+{
+    const unsigned width = planes[0]->width();
+    PlaneRow plane_ptr[kHnBatchChunk];
+    // Planes non-zero in any column of each group.
+    std::uint64_t live[(kHnBatchChunk + kGroupColumns - 1) /
+                       kGroupColumns] = {};
+    for (std::size_t c = 0; c < cols; ++c) {
+        for (unsigned bit = 0; bit < width; ++bit)
+            plane_ptr[c][bit] = planes[c]->plane(bit);
+        live[c / kGroupColumns] |= planes[c]->nonZeroPlaneMask();
+    }
+
+    std::fill_n(region_sums, region_count * cols, std::int64_t(0));
+
+    for (std::size_t tile = 0; tile < words_per_plane;
+         tile += kTileWords) {
+        const std::size_t len =
+            std::min(kTileWords, words_per_plane - tile);
+        for (std::size_t r = 0; r < region_count; ++r) {
+            const std::uint64_t *mask =
+                mask_words + regions[r].wordOffset + tile;
+            for (std::size_t c0 = 0; c0 < cols; c0 += kGroupColumns) {
+                const std::size_t group =
+                    std::min(kGroupColumns, cols - c0);
+                groups[group - 1](plane_ptr + c0, tile, mask, len,
+                                  live[c0 / kGroupColumns], width,
+                                  region_sums + r * cols + c0);
+            }
+        }
+    }
+}
+
 std::int64_t
 countTilePortable(const std::uint64_t *plane, const std::uint64_t *mask,
                   std::size_t n)
@@ -106,26 +179,82 @@ regionSumsPortable(const PackedPlanes &planes,
                                      region_sums);
 }
 
+/** Portable group body: computePackedBatch's loop, one tile at a time. */
+template <std::size_t G>
+void
+groupSumsPortable(const PlaneRow *plane_ptr, std::size_t tile,
+                  const std::uint64_t *mask, std::size_t len,
+                  std::uint64_t live, unsigned width, std::int64_t *sums)
+{
+    std::int64_t acc[G] = {};
+    for (; live != 0; live &= live - 1) {
+        const unsigned bit = std::countr_zero(live);
+        const std::uint64_t *p[G];
+        for (std::size_t g = 0; g < G; ++g)
+            p[g] = plane_ptr[g][bit] + tile;
+        std::int64_t count[G] = {};
+        for (std::size_t w = 0; w < len; ++w) {
+            const std::uint64_t m = mask[w];
+            for (std::size_t g = 0; g < G; ++g)
+                count[g] += std::popcount(p[g][w] & m);
+        }
+        const std::int64_t weight = std::int64_t(1) << bit;
+        const std::int64_t signed_weight =
+            bit + 1 == width ? -weight : weight;
+        for (std::size_t g = 0; g < G; ++g)
+            acc[g] += signed_weight * count[g];
+    }
+    for (std::size_t g = 0; g < G; ++g)
+        sums[g] += acc[g];
+}
+
+constexpr GroupSumsFn kPortableGroups[kGroupColumns] = {
+    groupSumsPortable<1>, groupSumsPortable<2>, groupSumsPortable<3>,
+    groupSumsPortable<4>};
+
 #if HNLPU_SIMD_X86
 
 /**
- * AVX2 tile popcount: Mula's nibble-LUT algorithm.  Each 256-bit step
- * splits four words into nibbles, maps each nibble to its popcount via
- * PSHUFB, and folds the 32 byte-counts into four 64-bit lanes with
- * PSADBW (whose per-lane sums are exact, so no overflow handling is
- * needed at any tile size).  An all-zero 4-word plane block is skipped
- * with one VPTEST before the mask load.
+ * Per-64-bit-lane popcounts of @p v: Mula's nibble-LUT algorithm.  The
+ * four words are split into nibbles, PSHUFB maps each nibble to its
+ * popcount, and PSADBW folds the 32 byte-counts into four 64-bit lanes
+ * (whose per-lane sums are exact, so no overflow handling is needed at
+ * any tile size).
  */
-__attribute__((target("avx2"))) std::int64_t
-countTileAvx2(const std::uint64_t *plane, const std::uint64_t *mask,
-              std::size_t n)
+__attribute__((target("avx2"))) inline __m256i
+popcountLanesAvx2(__m256i v)
 {
     const __m256i lut = _mm256_setr_epi8(
         0, 1, 1, 2, 1, 2, 2, 3, 1, 2, 2, 3, 2, 3, 3, 4, 0, 1, 1, 2, 1,
         2, 2, 3, 1, 2, 2, 3, 2, 3, 3, 4);
     const __m256i low_nibble = _mm256_set1_epi8(0x0f);
-    const __m256i zero = _mm256_setzero_si256();
-    __m256i acc = zero;
+    const __m256i lo = _mm256_and_si256(v, low_nibble);
+    const __m256i hi =
+        _mm256_and_si256(_mm256_srli_epi16(v, 4), low_nibble);
+    const __m256i bytes = _mm256_add_epi8(_mm256_shuffle_epi8(lut, lo),
+                                          _mm256_shuffle_epi8(lut, hi));
+    return _mm256_sad_epu8(bytes, _mm256_setzero_si256());
+}
+
+/** Horizontal int64 sum of @p v. */
+__attribute__((target("avx2"))) inline std::int64_t
+reduceAddAvx2(__m256i v)
+{
+    const __m128i pair = _mm_add_epi64(_mm256_castsi256_si128(v),
+                                       _mm256_extracti128_si256(v, 1));
+    return _mm_cvtsi128_si64(pair) + _mm_extract_epi64(pair, 1);
+}
+
+/**
+ * AVX2 tile popcount, four words per step (popcountLanesAvx2).  An
+ * all-zero 4-word plane block is skipped with one VPTEST before the
+ * mask load.
+ */
+__attribute__((target("avx2"))) std::int64_t
+countTileAvx2(const std::uint64_t *plane, const std::uint64_t *mask,
+              std::size_t n)
+{
+    __m256i acc = _mm256_setzero_si256();
     std::size_t w = 0;
     for (; w + 4 <= n; w += 4) {
         const __m256i p = _mm256_loadu_si256(
@@ -135,17 +264,9 @@ countTileAvx2(const std::uint64_t *plane, const std::uint64_t *mask,
         const __m256i v = _mm256_and_si256(
             p, _mm256_loadu_si256(
                    reinterpret_cast<const __m256i *>(mask + w)));
-        const __m256i lo = _mm256_and_si256(v, low_nibble);
-        const __m256i hi =
-            _mm256_and_si256(_mm256_srli_epi16(v, 4), low_nibble);
-        const __m256i bytes =
-            _mm256_add_epi8(_mm256_shuffle_epi8(lut, lo),
-                            _mm256_shuffle_epi8(lut, hi));
-        acc = _mm256_add_epi64(acc, _mm256_sad_epu8(bytes, zero));
+        acc = _mm256_add_epi64(acc, popcountLanesAvx2(v));
     }
-    alignas(32) std::int64_t lanes[4];
-    _mm256_store_si256(reinterpret_cast<__m256i *>(lanes), acc);
-    std::int64_t count = lanes[0] + lanes[1] + lanes[2] + lanes[3];
+    std::int64_t count = reduceAddAvx2(acc);
     for (; w < n; ++w)
         count += std::popcount(plane[w] & mask[w]);
     return count;
@@ -159,6 +280,97 @@ regionSumsAvx2(const PackedPlanes &planes, const std::uint64_t *mask_words,
     regionSumsTiled<countTileAvx2>(planes, mask_words, regions,
                                      region_count, words_per_plane,
                                      region_sums);
+}
+
+/**
+ * AVX2 group body: four words per step, the ragged tail through a
+ * VPMASKMOVQ load (masked lanes read as zero and never fault).  Lane
+ * counts are shifted by the plane's bit and added (subtracted for the
+ * sign plane) into per-column lane accumulators -- int64 lane
+ * arithmetic, so the one horizontal sum per column at the end is the
+ * exact region sum.
+ */
+template <std::size_t G>
+__attribute__((target("avx2"))) void
+groupSumsAvx2(const PlaneRow *plane_ptr, std::size_t tile,
+              const std::uint64_t *mask, std::size_t len,
+              std::uint64_t live, unsigned width, std::int64_t *sums)
+{
+    const std::size_t full = len & ~std::size_t(3);
+    const __m256i tail = _mm256_cmpgt_epi64(
+        _mm256_set1_epi64x(static_cast<long long>(len - full)),
+        _mm256_setr_epi64x(0, 1, 2, 3));
+    __m256i acc[G];
+    for (std::size_t g = 0; g < G; ++g)
+        acc[g] = _mm256_setzero_si256();
+    for (; live != 0; live &= live - 1) {
+        const unsigned bit = std::countr_zero(live);
+        const std::uint64_t *p[G];
+        __m256i count[G];
+        for (std::size_t g = 0; g < G; ++g) {
+            p[g] = plane_ptr[g][bit] + tile;
+            count[g] = _mm256_setzero_si256();
+        }
+        for (std::size_t w = 0; w < full; w += 4) {
+            const __m256i m = _mm256_loadu_si256(
+                reinterpret_cast<const __m256i *>(mask + w));
+            for (std::size_t g = 0; g < G; ++g) {
+                const __m256i v = _mm256_and_si256(
+                    m, _mm256_loadu_si256(
+                           reinterpret_cast<const __m256i *>(p[g] + w)));
+                count[g] = _mm256_add_epi64(count[g], popcountLanesAvx2(v));
+            }
+        }
+        if (full < len) {
+            const __m256i m = _mm256_maskload_epi64(
+                reinterpret_cast<const long long *>(mask + full), tail);
+            for (std::size_t g = 0; g < G; ++g) {
+                const __m256i v = _mm256_and_si256(
+                    m, _mm256_maskload_epi64(
+                           reinterpret_cast<const long long *>(p[g] + full),
+                           tail));
+                count[g] = _mm256_add_epi64(count[g], popcountLanesAvx2(v));
+            }
+        }
+        const __m128i shift = _mm_cvtsi32_si128(static_cast<int>(bit));
+        const bool sign_plane = bit + 1 == width;
+        for (std::size_t g = 0; g < G; ++g) {
+            const __m256i weighted = _mm256_sll_epi64(count[g], shift);
+            acc[g] = sign_plane ? _mm256_sub_epi64(acc[g], weighted)
+                                : _mm256_add_epi64(acc[g], weighted);
+        }
+    }
+    for (std::size_t g = 0; g < G; ++g)
+        sums[g] += reduceAddAvx2(acc[g]);
+}
+
+constexpr GroupSumsFn kAvx2Groups[kGroupColumns] = {
+    groupSumsAvx2<1>, groupSumsAvx2<2>, groupSumsAvx2<3>,
+    groupSumsAvx2<4>};
+
+/*
+ * GCC 12's unmasked AVX-512 extract, cast and shift intrinsics
+ * (_mm512_reduce_add_epi64 among their users) pass an
+ * _mm*_undefined_*() vector as their merge source, which it then
+ * reports as -Wuninitialized.  The AVX-512 code below avoids them: the
+ * reduction is written with vector extensions, which lower to the same
+ * extract-and-add sequence, and the shift uses the zero-masked form
+ * with an all-ones mask.
+ */
+
+/** Horizontal int64 sum of @p v (wrapping, as the lane adds are). */
+__attribute__((target("avx512f"))) inline std::int64_t
+reduceAddAvx512(__m512i v)
+{
+    using U64x8 = std::uint64_t __attribute__((vector_size(64)));
+    using U64x4 = std::uint64_t __attribute__((vector_size(32)));
+    using U64x2 = std::uint64_t __attribute__((vector_size(16)));
+    const U64x8 lanes = (U64x8)v;
+    const U64x4 half = __builtin_shufflevector(lanes, lanes, 0, 1, 2, 3) +
+                       __builtin_shufflevector(lanes, lanes, 4, 5, 6, 7);
+    const U64x2 pair = __builtin_shufflevector(half, half, 0, 1) +
+                       __builtin_shufflevector(half, half, 2, 3);
+    return static_cast<std::int64_t>(pair[0] + pair[1]);
 }
 
 /**
@@ -189,7 +401,7 @@ countTileAvx512(const std::uint64_t *plane, const std::uint64_t *mask,
         acc = _mm512_add_epi64(
             acc, _mm512_popcnt_epi64(_mm512_and_si512(p, m)));
     }
-    return _mm512_reduce_add_epi64(acc);
+    return reduceAddAvx512(acc);
 }
 
 __attribute__((
@@ -204,38 +416,136 @@ regionSumsAvx512(const PackedPlanes &planes,
                                      region_sums);
 }
 
+/**
+ * AVX-512 group body: one VPOPCNTQ per eight words per column, the
+ * ragged tail through zero-masked loads.  Same lane accumulation as
+ * groupSumsAvx2.
+ */
+template <std::size_t G>
+__attribute__((target("avx512f,avx512bw,avx512vl,avx512vpopcntdq"))) void
+groupSumsAvx512(const PlaneRow *plane_ptr, std::size_t tile,
+                const std::uint64_t *mask, std::size_t len,
+                std::uint64_t live, unsigned width, std::int64_t *sums)
+{
+    const std::size_t full = len & ~std::size_t(7);
+    const __mmask8 tail = static_cast<__mmask8>((1u << (len - full)) - 1u);
+    __m512i acc[G];
+    for (std::size_t g = 0; g < G; ++g)
+        acc[g] = _mm512_setzero_si512();
+    for (; live != 0; live &= live - 1) {
+        const unsigned bit = std::countr_zero(live);
+        const std::uint64_t *p[G];
+        __m512i count[G];
+        for (std::size_t g = 0; g < G; ++g) {
+            p[g] = plane_ptr[g][bit] + tile;
+            count[g] = _mm512_setzero_si512();
+        }
+        for (std::size_t w = 0; w < full; w += 8) {
+            const __m512i m = _mm512_loadu_si512(mask + w);
+            for (std::size_t g = 0; g < G; ++g) {
+                const __m512i v =
+                    _mm512_and_si512(m, _mm512_loadu_si512(p[g] + w));
+                count[g] =
+                    _mm512_add_epi64(count[g], _mm512_popcnt_epi64(v));
+            }
+        }
+        if (tail != 0) {
+            const __m512i m = _mm512_maskz_loadu_epi64(tail, mask + full);
+            for (std::size_t g = 0; g < G; ++g) {
+                const __m512i v = _mm512_and_si512(
+                    m, _mm512_maskz_loadu_epi64(tail, p[g] + full));
+                count[g] =
+                    _mm512_add_epi64(count[g], _mm512_popcnt_epi64(v));
+            }
+        }
+        const __m128i shift = _mm_cvtsi32_si128(static_cast<int>(bit));
+        const bool sign_plane = bit + 1 == width;
+        for (std::size_t g = 0; g < G; ++g) {
+            const __m512i weighted =
+                _mm512_maskz_sll_epi64(0xff, count[g], shift);
+            acc[g] = sign_plane ? _mm512_sub_epi64(acc[g], weighted)
+                                : _mm512_add_epi64(acc[g], weighted);
+        }
+    }
+    for (std::size_t g = 0; g < G; ++g)
+        sums[g] += reduceAddAvx512(acc[g]);
+}
+
+constexpr GroupSumsFn kAvx512Groups[kGroupColumns] = {
+    groupSumsAvx512<1>, groupSumsAvx512<2>, groupSumsAvx512<3>,
+    groupSumsAvx512<4>};
+
 #endif // HNLPU_SIMD_X86
 
 struct SimdDispatch
 {
     RegionSumsFn fn;
+    const GroupSumsFn *groups; //!< group bodies, [columns - 1]
     HnSimdLevel level;
     const char *name;
 };
 
-SimdDispatch
-resolveDispatch()
+/** The tiers compiled into this build, indexed by HnSimdLevel. */
+constexpr SimdDispatch kTiers[] = {
+    {regionSumsPortable, kPortableGroups, HnSimdLevel::Portable,
+     "portable"},
+#if HNLPU_SIMD_X86
+    {regionSumsAvx2, kAvx2Groups, HnSimdLevel::Avx2, "avx2"},
+    {regionSumsAvx512, kAvx512Groups, HnSimdLevel::Avx512, "avx512"},
+#endif
+};
+
+bool
+cpuSupports(HnSimdLevel level)
 {
 #if HNLPU_SIMD_X86
     __builtin_cpu_init();
-    if (__builtin_cpu_supports("avx512vpopcntdq") &&
-        __builtin_cpu_supports("avx512bw") &&
-        __builtin_cpu_supports("avx512vl") &&
-        __builtin_cpu_supports("avx512f"))
-        return {regionSumsAvx512, HnSimdLevel::Avx512, "avx512"};
-    if (__builtin_cpu_supports("avx2"))
-        return {regionSumsAvx2, HnSimdLevel::Avx2, "avx2"};
+    switch (level) {
+    case HnSimdLevel::Avx512:
+        return __builtin_cpu_supports("avx512vpopcntdq") &&
+               __builtin_cpu_supports("avx512bw") &&
+               __builtin_cpu_supports("avx512vl") &&
+               __builtin_cpu_supports("avx512f");
+    case HnSimdLevel::Avx2:
+        return __builtin_cpu_supports("avx2");
+    case HnSimdLevel::Portable:
+        return true;
+    }
 #endif
-    return {regionSumsPortable, HnSimdLevel::Portable, "portable"};
+    return level == HnSimdLevel::Portable;
+}
+
+bool
+levelSupported(HnSimdLevel level)
+{
+    return static_cast<std::size_t>(level) < std::size(kTiers) &&
+           cpuSupports(level);
+}
+
+std::atomic<HnSimdLevel> &
+activeLevel()
+{
+    // Resolved once, first use, to the best tier the CPU supports; only
+    // ScopedHnSimdLevel moves it afterwards.
+    static std::atomic<HnSimdLevel> level = [] {
+        HnSimdLevel best = HnSimdLevel::Portable;
+        for (const SimdDispatch &tier : kTiers) {
+            if (cpuSupports(tier.level))
+                best = tier.level;
+        }
+        return best;
+    }();
+    return level;
 }
 
 const SimdDispatch &
 dispatch()
 {
-    // Resolved once, first use; the CPU feature set cannot change
-    // under a running process.
-    static const SimdDispatch d = resolveDispatch();
-    return d;
+    // Relaxed is enough: the tier only changes while no kernel runs,
+    // and the thread pool's job handoff orders the change before any
+    // worker's read.
+    return kTiers[static_cast<std::size_t>(
+        activeLevel().load(std::memory_order_relaxed))];
 }
 
 } // namespace
@@ -250,6 +560,30 @@ const char *
 hnSimdLevelName()
 {
     return dispatch().name;
+}
+
+std::vector<HnSimdLevel>
+hnSupportedSimdLevels()
+{
+    std::vector<HnSimdLevel> levels;
+    for (const SimdDispatch &tier : kTiers) {
+        if (cpuSupports(tier.level))
+            levels.push_back(tier.level);
+    }
+    return levels;
+}
+
+ScopedHnSimdLevel::ScopedHnSimdLevel(HnSimdLevel level)
+{
+    hnlpu_assert(levelSupported(level), "SIMD tier ",
+                 static_cast<int>(level),
+                 " is not supported by this build and CPU");
+    previous_ = activeLevel().exchange(level, std::memory_order_relaxed);
+}
+
+ScopedHnSimdLevel::~ScopedHnSimdLevel()
+{
+    activeLevel().store(previous_, std::memory_order_relaxed);
 }
 
 void
@@ -269,6 +603,28 @@ hnRegionSums(const PackedPlanes &planes, const std::uint64_t *mask_words,
     }
     dispatch().fn(planes, mask_words, regions, region_count,
                   words_per_plane, region_sums);
+}
+
+void
+hnRegionSumsBatch(const PackedPlanes *const *planes, std::size_t cols,
+                  const std::uint64_t *mask_words,
+                  const RegionMask *regions, std::size_t region_count,
+                  std::size_t words_per_plane, std::int64_t *region_sums)
+{
+    hnlpu_assert(cols >= 1 && cols <= kHnBatchChunk, "batch ", cols,
+                 " outside [1, ", kHnBatchChunk, "]");
+    for (std::size_t c = 0; c < cols; ++c) {
+        hnlpu_assert(planes[c]->wordsPerPlane() == words_per_plane,
+                     "packed plane geometry mismatch in batch column ", c);
+        hnlpu_assert(planes[c]->width() == planes[0]->width(),
+                     "batch columns must share one width");
+    }
+    // Same cutover as hnRegionSums (see kHnSimdMinWords).
+    const GroupSumsFn *groups = words_per_plane < kHnSimdMinWords
+                                    ? kPortableGroups
+                                    : dispatch().groups;
+    regionSumsBatchTiled(groups, planes, cols, mask_words, regions,
+                         region_count, words_per_plane, region_sums);
 }
 
 } // namespace hnlpu

@@ -23,13 +23,23 @@
  *    fits in L1 even for very wide rows, instead of streaming each
  *    full stripe per (region, bit) pair.
  *
+ *  - a multi-column body for the batched GEMM (hnRegionSumsBatch):
+ *    per region and per group of up to four columns, each mask vector
+ *    is loaded once and ANDed into every column's plane, the per-bit
+ *    popcounts stay in vector lanes and fold into per-column lane
+ *    accumulators shifted by the plane's bit, and one horizontal
+ *    reduction per (region, column) replaces one per (region, bit,
+ *    column).
+ *
  * Bit-exactness is structural, not approximate: every per-(region,
  * bit, tile) count is an exact integer, integer addition is
  * associative, and zero planes/words contribute exactly 0 -- so the
  * region sums (and with them the neuron output and HnActivity
  * counters, which count logical wires regardless of skips) are
  * identical to computeSerial/computePacked.  tests/test_hn_kernel.cc
- * pins all three kernels against each other.
+ * pins all three kernels against each other on every tier the host
+ * supports (ScopedHnSimdLevel), and tests/test_serving.cc pins the
+ * batched body against per-column GEMVs.
  */
 
 #ifndef HNLPU_HN_HN_SIMD_HH
@@ -37,6 +47,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <vector>
 
 #include "arith/bitserial.hh"
 #include "hn/hn_neuron.hh"
@@ -51,17 +62,47 @@ enum class HnSimdLevel { Portable, Avx2, Avx512 };
  * call costs dispatch, tail masking and a horizontal reduction; below
  * ~two 512-bit iterations that fixed cost exceeds the popcount work
  * itself, so narrower rows take the Packed kernel's fused loop instead
- * (HardwiredNeuron::computeSimd delegates, hnRegionSums runs its
- * portable loop).  The cutover only selects between exact-integer
+ * (HardwiredNeuron::computeSimd / computeSimdBatch delegate,
+ * hnRegionSums / hnRegionSumsBatch run their portable loops).  The
+ * cutover only selects between exact-integer
  * loops, so results are bit-identical on both sides.
  */
 inline constexpr std::size_t kHnSimdMinWords = 16;
 
-/** The active tier: best supported tier under the HNLPU_SIMD gate. */
+/**
+ * The active tier: the best supported tier under the HNLPU_SIMD gate,
+ * unless a ScopedHnSimdLevel is forcing a lower one.
+ */
 HnSimdLevel hnSimdLevel();
 
 /** Human-readable name of the active tier (bench/report labels). */
 const char *hnSimdLevelName();
+
+/**
+ * Every tier this build can run on this CPU, lowest first (Portable is
+ * always present).  Tests sweep the kernels over it.
+ */
+std::vector<HnSimdLevel> hnSupportedSimdLevels();
+
+/**
+ * Test hook: force the Simd kernel onto @p level, which must be in
+ * hnSupportedSimdLevels(), for this object's lifetime; the previous
+ * tier is restored on destruction.  The tier is process-wide, so only
+ * construct one while no kernel is running on another thread.  This
+ * lets an AVX-512 host execute the AVX2 and portable bodies too.
+ */
+class ScopedHnSimdLevel
+{
+  public:
+    explicit ScopedHnSimdLevel(HnSimdLevel level);
+    ~ScopedHnSimdLevel();
+
+    ScopedHnSimdLevel(const ScopedHnSimdLevel &) = delete;
+    ScopedHnSimdLevel &operator=(const ScopedHnSimdLevel &) = delete;
+
+  private:
+    HnSimdLevel previous_;
+};
 
 /**
  * Compute region_sums[r] = sum over bit planes of
@@ -80,6 +121,21 @@ void hnRegionSums(const PackedPlanes &planes,
                   const RegionMask *regions, std::size_t region_count,
                   std::size_t words_per_plane,
                   std::int64_t *region_sums);
+
+/**
+ * hnRegionSums for @p cols activation columns in one traversal of the
+ * region masks: region_sums[r * cols + c] receives column c's sum for
+ * regions[r], exactly the value hnRegionSums(*planes[c], ...) computes.
+ * All planes must share one width and @p words_per_plane; @p cols must
+ * be in [1, kHnBatchChunk].  Same tier dispatch and kHnSimdMinWords
+ * cutover as hnRegionSums.  @p region_sums must hold
+ * region_count * cols entries; it is fully overwritten.
+ */
+void hnRegionSumsBatch(const PackedPlanes *const *planes, std::size_t cols,
+                       const std::uint64_t *mask_words,
+                       const RegionMask *regions, std::size_t region_count,
+                       std::size_t words_per_plane,
+                       std::int64_t *region_sums);
 
 } // namespace hnlpu
 

@@ -9,7 +9,10 @@
  * PackedPlanes serializer (incl. the non-zero-plane occupancy mask),
  * the lock-free scratch arena (recycling, exception safety of the
  * lease, concurrent acquire/release), CachedPlanes rebuild avoidance,
- * and end-to-end engine equality under ExecOptions::kernel.
+ * and end-to-end engine equality under ExecOptions::kernel.  The Simd
+ * checks on rows above the kHnSimdMinWords cutover run once per SIMD
+ * tier the host supports (ScopedHnSimdLevel), so an AVX-512 host
+ * executes the AVX2 and portable bodies too.
  *
  * Registered under ctest label `kernel`; scripts/tier1.sh additionally
  * runs it under ThreadSanitizer to prove the per-GEMV PackedPlanes is
@@ -20,6 +23,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 #include <thread>
@@ -68,6 +72,44 @@ expectActivityEq(const HnActivity &a, const HnActivity &b)
     EXPECT_EQ(a.popcountBitOps, b.popcountBitOps);
     EXPECT_EQ(a.multiplyOps, b.multiplyOps);
     EXPECT_EQ(a.treeAddOps, b.treeAddOps);
+}
+
+/** Run @p body once per SIMD tier this build and CPU can execute. */
+template <class Body>
+void
+forEachSimdTier(Body body)
+{
+    for (HnSimdLevel level : hnSupportedSimdLevels()) {
+        ScopedHnSimdLevel force(level);
+        SCOPED_TRACE(hnSimdLevelName());
+        body();
+    }
+}
+
+// -- SIMD tier override ---------------------------------------------------
+
+TEST(SimdTier, ScopedLevelForcesEverySupportedTierAndRestores)
+{
+    const HnSimdLevel best = hnSimdLevel();
+    const auto levels = hnSupportedSimdLevels();
+    ASSERT_FALSE(levels.empty());
+    EXPECT_EQ(levels.front(), HnSimdLevel::Portable);
+    // Nothing else is forcing a tier, so the active one is the best.
+    EXPECT_EQ(levels.back(), best);
+    for (HnSimdLevel level : levels) {
+        {
+            ScopedHnSimdLevel force(level);
+            EXPECT_EQ(hnSimdLevel(), level);
+        }
+        EXPECT_EQ(hnSimdLevel(), best);
+    }
+    for (HnSimdLevel level : {HnSimdLevel::Portable, HnSimdLevel::Avx2,
+                              HnSimdLevel::Avx512}) {
+        if (std::find(levels.begin(), levels.end(), level) ==
+            levels.end()) {
+            EXPECT_DEATH(ScopedHnSimdLevel force(level), "not supported");
+        }
+    }
 }
 
 // -- PackedPlanes vs BitSerializer ----------------------------------------
@@ -188,34 +230,41 @@ TEST(SimdKernel, AllZeroAndSparseHighPlanesStayBitExact)
     // All-zero activations leave every plane empty (full plane-skip
     // path); small positive values leave the high planes empty and
     // long zero runs in the low ones (block-skip path).  Both must be
-    // bit-exact against Scalar, counters included.
-    const std::size_t cols = 190; // ragged: 3 words per plane
-    const auto tmpl = makeTemplate(cols);
-    const auto weights = syntheticFp4Weights(cols, 31);
-    auto topo = WireTopology::program(tmpl, weights);
-    ASSERT_TRUE(topo.has_value());
-    const HardwiredNeuron neuron(std::move(*topo));
+    // bit-exact against Scalar, counters included, below the Simd
+    // cutover (190 columns: 3 words) and above it on every tier (1090
+    // columns: 18 words, ragged in the last word and vector).
+    for (std::size_t cols : {190u, 1090u}) {
+        const auto tmpl = makeTemplate(cols);
+        const auto weights = syntheticFp4Weights(cols, 31);
+        auto topo = WireTopology::program(tmpl, weights);
+        ASSERT_TRUE(topo.has_value());
+        const HardwiredNeuron neuron(std::move(*topo));
 
-    const std::vector<std::int64_t> zeros(cols, 0);
-    std::vector<std::int64_t> sparse(cols, 0);
-    for (std::size_t i = 0; i < cols; i += 7)
-        sparse[i] = std::int64_t(1 + (i % 3)); // values 1..3: planes 0-1
+        const std::vector<std::int64_t> zeros(cols, 0);
+        std::vector<std::int64_t> sparse(cols, 0);
+        for (std::size_t i = 0; i < cols; i += 7)
+            sparse[i] = std::int64_t(1 + (i % 3)); // 1..3: planes 0-1
 
-    for (const auto &acts : {zeros, sparse}) {
-        for (unsigned width : {4u, 8u, 16u}) {
-            HnActivity serial_act, simd_act;
-            const std::int64_t serial =
-                neuron.computeSerial(acts, width, &serial_act);
-            PackedPlanes planes;
-            planes.build(acts, width);
-            const std::int64_t simd =
-                neuron.computeSimd(planes, &simd_act);
-            EXPECT_EQ(simd, serial) << "width " << width;
-            EXPECT_EQ(simd, neuron.computeReference(acts));
-            // Zero-skips are host shortcuts: the modelled fabric still
-            // clocks every wire, so the counters must not shrink.
-            expectActivityEq(simd_act, serial_act);
-        }
+        forEachSimdTier([&] {
+            for (const auto &acts : {zeros, sparse}) {
+                for (unsigned width : {4u, 8u, 16u}) {
+                    HnActivity serial_act, simd_act;
+                    const std::int64_t serial =
+                        neuron.computeSerial(acts, width, &serial_act);
+                    PackedPlanes planes;
+                    planes.build(acts, width);
+                    const std::int64_t simd =
+                        neuron.computeSimd(planes, &simd_act);
+                    EXPECT_EQ(simd, serial)
+                        << "cols " << cols << " width " << width;
+                    EXPECT_EQ(simd, neuron.computeReference(acts));
+                    // Zero-skips are host shortcuts: the modelled
+                    // fabric still clocks every wire, so the counters
+                    // must not shrink.
+                    expectActivityEq(simd_act, serial_act);
+                }
+            }
+        });
     }
 }
 
@@ -234,17 +283,21 @@ TEST(SimdKernel, WideRowCrossesCacheTileBoundary)
     const auto acts = randomActivations(cols, 8, 5);
     PackedPlanes planes;
     planes.build(acts, 8);
-    HnActivity packed_act, simd_act;
+    HnActivity packed_act;
     const std::int64_t packed = neuron.computePacked(planes, &packed_act);
-    const std::int64_t simd = neuron.computeSimd(planes, &simd_act);
-    EXPECT_EQ(simd, packed);
-    EXPECT_EQ(simd, neuron.computeReference(acts));
-    expectActivityEq(simd_act, packed_act);
+    EXPECT_EQ(packed, neuron.computeReference(acts));
+    forEachSimdTier([&] {
+        HnActivity simd_act;
+        EXPECT_EQ(neuron.computeSimd(planes, &simd_act), packed);
+        expectActivityEq(simd_act, packed_act);
+    });
 }
 
 TEST(PackedKernel, ArraySweepWidthsShapesThreadsAndDeadRows)
 {
-    for (std::size_t cols : {33u, 64u, 100u}) {
+    // 1090 columns (18 words) is above the Simd cutover, so the sweep
+    // runs the vector bodies of every supported tier too.
+    for (std::size_t cols : {33u, 64u, 100u, 1090u}) {
         for (unsigned width : {4u, 8u, 16u}) {
             const std::size_t rows = 12;
             const auto tmpl = makeTemplate(cols);
@@ -255,39 +308,32 @@ TEST(PackedKernel, ArraySweepWidthsShapesThreadsAndDeadRows)
             const auto acts =
                 randomActivations(cols, width, cols * width);
 
-            HnActivity scalar_act, packed_act, simd_act;
+            HnActivity scalar_act;
             const auto scalar =
                 array.gemvSerial(acts, width, &scalar_act, nullptr,
                                  HnKernel::Scalar);
-            const auto packed =
-                array.gemvSerial(acts, width, &packed_act, nullptr,
-                                 HnKernel::Packed);
-            const auto simd =
-                array.gemvSerial(acts, width, &simd_act, nullptr,
-                                 HnKernel::Simd);
-            EXPECT_EQ(packed, scalar)
-                << "cols " << cols << " width " << width;
-            EXPECT_EQ(simd, scalar)
-                << "cols " << cols << " width " << width;
-            EXPECT_EQ(packed, array.gemvReference(acts));
-            expectActivityEq(packed_act, scalar_act);
-            expectActivityEq(simd_act, scalar_act);
+            EXPECT_EQ(scalar, array.gemvReference(acts));
             for (std::uint32_t r : dead)
-                EXPECT_EQ(packed[r], 0);
+                EXPECT_EQ(scalar[r], 0);
 
-            // Multi-threaded word-parallel kernels: same planes shared
-            // read-only by all workers (forced past the hardware cap so
-            // chunks really run concurrently), still bit-exact -- incl.
-            // the shard-merged counters.
+            // Word-parallel kernels, serial and multi-threaded: same
+            // planes shared read-only by all workers (forced past the
+            // hardware cap so chunks really run concurrently), still
+            // bit-exact -- incl. the shard-merged counters.
             ThreadPool pool(4, /*cap_to_hardware=*/false);
-            for (HnKernel kernel :
-                 {HnKernel::Packed, HnKernel::Simd}) {
-                HnActivity pooled_act;
-                const auto pooled = array.gemvSerial(
-                    acts, width, &pooled_act, &pool, kernel);
-                EXPECT_EQ(pooled, scalar);
-                expectActivityEq(pooled_act, scalar_act);
-            }
+            forEachSimdTier([&] {
+                for (HnKernel kernel :
+                     {HnKernel::Packed, HnKernel::Simd}) {
+                    for (ThreadPool *p : {(ThreadPool *)nullptr, &pool}) {
+                        HnActivity act;
+                        const auto got =
+                            array.gemvSerial(acts, width, &act, p, kernel);
+                        EXPECT_EQ(got, scalar)
+                            << "cols " << cols << " width " << width;
+                        expectActivityEq(act, scalar_act);
+                    }
+                }
+            });
         }
     }
 }

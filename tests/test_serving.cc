@@ -16,6 +16,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/rng.hh"
@@ -24,6 +25,7 @@
 #include "fault/model_faults.hh"
 #include "hn/hn_array.hh"
 #include "hn/hn_kernel.hh"
+#include "hn/hn_simd.hh"
 #include "model/model_zoo.hh"
 #include "pipeline/batcher.hh"
 #include "sim/core.hh"
@@ -113,6 +115,81 @@ TEST(GemmSerial, MatchesPerColumnGemvAcrossBatchKernelThreadsDeadRows)
                     }
                     // Activity is the exact sum of per-column counters.
                     expectActivityEq(gemm_act, gemv_act);
+                }
+            }
+        }
+    }
+}
+
+/**
+ * Column @p b of a wide-row batch.  b % 3 == 1 is all-zero, b % 3 == 2
+ * holds small non-negative values (every plane above bit 1 is zero),
+ * the rest are dense.  At width 63 the dense values stay non-negative
+ * and below 2^40, so no region sum can overflow int64.
+ */
+std::vector<std::int64_t>
+wideColumn(std::size_t cols, unsigned width, std::size_t b,
+           std::uint64_t seed)
+{
+    Rng rng(seed);
+    const std::int64_t top = (std::int64_t(1) << (width - 1)) - 1;
+    std::int64_t lo = 0, hi = 0;
+    if (b % 3 == 2) {
+        hi = std::min<std::int64_t>(3, top);
+    } else if (b % 3 == 0) {
+        hi = width == 63 ? (std::int64_t(1) << 40) - 1 : top;
+        lo = width == 63 ? 0 : -top - 1;
+    }
+    std::vector<std::int64_t> acts(cols);
+    for (auto &a : acts)
+        a = rng.uniformInt(lo, hi);
+    return acts;
+}
+
+TEST(GemmSerial, WideRowMatchesPerColumnGemvOnEverySimdTier)
+{
+    // 1090 columns = 18 words per plane: above kHnSimdMinWords, so the
+    // Simd kernel runs its batched vector body, with a ragged last word
+    // and a ragged vector tail on every tier.
+    const std::size_t rows = 10, cols = 1090;
+    ASSERT_GE((cols + 63) / 64, kHnSimdMinWords);
+    const auto weights = syntheticFp4Weights(rows * cols, 13);
+    HnArray array(makeTemplate(cols), weights, rows, cols, {3, 8});
+    ThreadPool pool(2);
+
+    for (unsigned width : {2u, 8u, 63u}) {
+        // Batches cross the 4-column group and kHnBatchChunk (8); every
+        // batch of 3+ mixes dense, all-zero and high-plane-zero
+        // columns, and batch 5's last group is all-zero.
+        for (std::size_t batch : {1u, 2u, 3u, 4u, 5u, 7u, 8u, 9u}) {
+            std::vector<std::vector<std::int64_t>> acts(batch);
+            std::vector<std::vector<std::int64_t>> want(batch);
+            HnActivity want_act;
+            for (std::size_t b = 0; b < batch; ++b) {
+                acts[b] = wideColumn(cols, width, b,
+                                     700 + width * 37 + batch * 11 + b);
+                want[b] = array.gemvSerial(acts[b], width, &want_act,
+                                           nullptr, HnKernel::Packed);
+                ASSERT_EQ(want[b], array.gemvReference(acts[b]));
+            }
+            for (HnSimdLevel level : hnSupportedSimdLevels()) {
+                ScopedHnSimdLevel force(level);
+                for (HnKernel kernel : {HnKernel::Packed, HnKernel::Simd}) {
+                    for (ThreadPool *p : {(ThreadPool *)nullptr, &pool}) {
+                        HnActivity gemm_act;
+                        const auto flat = array.gemmSerial(
+                            acts, width, &gemm_act, p, kernel);
+                        ASSERT_EQ(flat.size(), rows * batch);
+                        for (std::size_t b = 0; b < batch; ++b) {
+                            for (std::size_t r = 0; r < rows; ++r) {
+                                ASSERT_EQ(flat[r * batch + b], want[b][r])
+                                    << hnSimdLevelName() << " width "
+                                    << width << " batch " << batch
+                                    << " b " << b << " r " << r;
+                            }
+                        }
+                        expectActivityEq(gemm_act, want_act);
+                    }
                 }
             }
         }
