@@ -32,6 +32,7 @@
 #include <vector>
 
 #include "bench_util.hh"
+#include "expt/workload.hh"
 #include "xformer/engine.hh"
 #include "xformer/prefix_cache.hh"
 #include "xformer/sampler.hh"
@@ -86,7 +87,7 @@ measureMix(const TransformerConfig &cfg, const ModelWeights &weights,
            ExecPath path, std::size_t requests, std::size_t percent,
            std::size_t decode_tokens)
 {
-    bench::TraceConfig tc;
+    expt::TraceConfig tc;
     tc.vocabSize = cfg.vocabSize;
     tc.requests = requests;
     tc.promptBase = 4;
@@ -94,7 +95,7 @@ measureMix(const TransformerConfig &cfg, const ModelWeights &weights,
     tc.decodeBase = decode_tokens;
     tc.sharedPercent = percent;
     tc.sharedTokens = kSharedTokens;
-    const auto trace = bench::makeServingTrace(tc);
+    const auto trace = expt::makeServingTrace(tc);
 
     MixResult m;
     m.percent = percent;
@@ -108,7 +109,7 @@ measureMix(const TransformerConfig &cfg, const ModelWeights &weights,
             prefix.emplace(engine.kvPool());
         ServingEngine serving(engine, 0,
                               prefix ? &*prefix : nullptr);
-        for (const bench::TraceRequest &tr : trace) {
+        for (const expt::TraceRequest &tr : trace) {
             ServingRequest req;
             req.prompt = tr.prompt;
             req.decodeTokens = tr.decodeTokens;

@@ -35,6 +35,7 @@
 #include <vector>
 
 #include "bench_util.hh"
+#include "expt/workload.hh"
 #include "common/rng.hh"
 #include "common/table.hh"
 #include "common/units.hh"
@@ -70,7 +71,7 @@ scaledGptOssBlock()
 }
 
 /**
- * Heavy-tail request trace (bench::makeServingTrace with the chaos
+ * Heavy-tail request trace (expt::makeServingTrace with the chaos
  * shape); arrivals are non-decreasing.  A nonzero @p shared_percent
  * prepends a @p shared_tokens system prompt to that share of requests.
  */
@@ -79,7 +80,7 @@ makeTrace(const TransformerConfig &cfg, std::size_t requests,
           bool with_deadlines, std::uint64_t seed,
           std::size_t shared_percent = 0, std::size_t shared_tokens = 0)
 {
-    bench::TraceConfig tc;
+    expt::TraceConfig tc;
     tc.vocabSize = cfg.vocabSize;
     tc.requests = requests;
     tc.seed = seed;
@@ -93,8 +94,8 @@ makeTrace(const TransformerConfig &cfg, std::size_t requests,
     tc.classMix = true;
     tc.deadlines = with_deadlines;
     std::vector<RouterRequest> trace;
-    for (const bench::TraceRequest &tr :
-         bench::makeServingTrace(tc)) {
+    for (const expt::TraceRequest &tr :
+         expt::makeServingTrace(tc)) {
         RouterRequest req;
         req.prompt = tr.prompt;
         req.decodeTokens = tr.decodeTokens;

@@ -31,6 +31,7 @@
 #include <vector>
 
 #include "bench_util.hh"
+#include "expt/workload.hh"
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
 #include "xformer/engine.hh"
@@ -84,12 +85,12 @@ measure(const TransformerConfig &cfg, const ModelWeights &weights,
     Engine engine(cfg, weights, path, 8, exec);
     ServingEngine serving(engine);
 
-    bench::TraceConfig tc;
+    expt::TraceConfig tc;
     tc.vocabSize = cfg.vocabSize;
     tc.requests = requests;
     tc.promptBase = prompt_tokens;
     tc.decodeBase = decode_tokens;
-    for (const bench::TraceRequest &tr : bench::makeServingTrace(tc)) {
+    for (const expt::TraceRequest &tr : expt::makeServingTrace(tc)) {
         ServingRequest req;
         req.prompt = tr.prompt;
         req.decodeTokens = tr.decodeTokens;

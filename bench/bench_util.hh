@@ -1,10 +1,9 @@
 /**
  * @file
  * Shared helpers for the reproduction drivers: banners,
- * paper-vs-measured rows, the shared CLI argument parser, and (via
- * expt/workload.hh) the seedable serving-workload generator, so every
- * bench prints in a uniform format, parses flags the same way, and
- * draws from one trace model.
+ * paper-vs-measured rows and the shared CLI argument parser, so every
+ * bench prints in a uniform format and parses flags the same way.
+ * Serving benches draw their traces from expt/workload.hh.
  */
 
 #ifndef HNLPU_BENCH_BENCH_UTIL_HH
@@ -20,18 +19,9 @@
 
 #include "common/table.hh"
 #include "common/units.hh"
-#include "expt/workload.hh"
 #include "obs/json.hh"
 
 namespace hnlpu::bench {
-
-// The trace generator moved to src/expt/workload.hh (the experiment
-// driver consumes it declaratively); these aliases keep the historical
-// bench::* spelling working.
-using expt::TraceRequest;
-using expt::TraceConfig;
-using expt::makeServingTrace;
-using expt::paretoDraw;
 
 /** Print a section banner. */
 inline void

@@ -10,10 +10,10 @@
 # coordinates, exactly the kind of arithmetic where an off-by-one reads
 # out of bounds without failing a functional assertion.
 #
-# A fourth leg rebuilds the kernel and serving tests with
-# -DHNLPU_SIMD=OFF so the portable fallback of the Simd kernel (the
-# only body on non-x86 hosts), single-column and batched, keeps
-# passing the same bit-exactness sweeps as the vector bodies.
+# A fourth leg rebuilds the kernel, serving and parallel tests with
+# -DHNLPU_SIMD=OFF so the Portable fallback of the Simd kernel (the
+# Packed batch kernel, the only body on non-x86 hosts) keeps passing
+# the same bit-exactness sweeps as the vector bodies.
 #
 # A fifth leg rebuilds the router and fault tests under
 # UndefinedBehaviorSanitizer: the retry backoff computes shifted
@@ -22,8 +22,12 @@
 # past the type width or a signed overflow stays silent in a normal
 # build.
 #
+# A last leg configures a Release build with -Werror and builds every
+# target, so the optimiser-only GCC diagnostics (-Wstringop-overflow,
+# -Wrestrict, -Wuninitialized from inlined intrinsics) stay at zero.
+#
 # Usage: scripts/tier1.sh [build_dir] [tsan_build_dir] [asan_build_dir]
-#        [nosimd_build_dir] [ubsan_build_dir]
+#        [nosimd_build_dir] [ubsan_build_dir] [werror_build_dir]
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -32,6 +36,7 @@ TSAN_DIR="${2:-build-tsan}"
 ASAN_DIR="${3:-build-asan}"
 NOSIMD_DIR="${4:-build-nosimd}"
 UBSAN_DIR="${5:-build-ubsan}"
+WERROR_DIR="${6:-build-werror}"
 
 echo "== tier-1: build + ctest =="
 cmake -B "$BUILD_DIR" -S .
@@ -113,15 +118,17 @@ echo "== tier-1: traced serving run emits valid JSON =="
 python3 -m json.tool "$BUILD_DIR"/BENCH_serving.json > /dev/null
 python3 -m json.tool "$BUILD_DIR"/TRACE_serving.json > /dev/null
 
-echo "== tier-1: kernel + serving tests with SIMD disabled =="
-# -DHNLPU_SIMD=OFF drops the AVX bodies; HnKernel::Simd then resolves
-# to the portable std::popcount loops -- the single-column tile loop
-# and the multi-column batched body -- which must pass the same
-# scalar-vs-packed-vs-simd bit-exactness sweep and the same batched
-# GEMM and engine-batch sweep as the vector bodies.
+echo "== tier-1: kernel + serving + parallel tests with SIMD disabled =="
+# -DHNLPU_SIMD=OFF drops the AVX bodies; HnKernel::Simd then runs
+# HardwiredNeuron::computePackedBatch at every batch size, solo decode
+# included, which must pass the same scalar-vs-packed-vs-simd
+# bit-exactness sweep, the same batched GEMM and engine-batch sweep and
+# the same parallel == serial engine runs as the vector bodies.
 cmake -B "$NOSIMD_DIR" -S . -DHNLPU_SIMD=OFF
-cmake --build "$NOSIMD_DIR" -j --target test_hn_kernel --target test_serving
+cmake --build "$NOSIMD_DIR" -j --target test_hn_kernel --target test_serving \
+    --target test_parallel
 (cd "$NOSIMD_DIR" && ctest --output-on-failure -L '^(kernel|serving)$')
+(cd "$NOSIMD_DIR" && ctest --output-on-failure -R '^test_parallel$')
 
 echo "== tier-1: fault + prefix tests under AddressSanitizer =="
 # The block pool hands out raw double* payloads indexed by computed
@@ -178,5 +185,10 @@ for config in examples/expt/*.json; do
         --json-out "$BUILD_DIR"/BENCH_expt_smoke.json > /dev/null
     python3 -m json.tool "$BUILD_DIR"/BENCH_expt_smoke.json > /dev/null
 done
+
+echo "== tier-1: warning-free Release build =="
+cmake -B "$WERROR_DIR" -S . -DCMAKE_BUILD_TYPE=Release \
+    -DCMAKE_CXX_FLAGS=-Werror
+cmake --build "$WERROR_DIR" -j
 
 echo "tier-1 OK"

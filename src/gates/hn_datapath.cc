@@ -14,8 +14,11 @@ HnDatapath::HnDatapath(const WireTopology &topology, unsigned width)
     // External pins: one serial bit line per template input plus the
     // sign-plane strobe.
     xInputs_.reserve(inputCount_);
-    for (std::size_t i = 0; i < inputCount_; ++i)
-        xInputs_.push_back(netlist_.addInput("x" + std::to_string(i)));
+    for (std::size_t i = 0; i < inputCount_; ++i) {
+        std::string name = "x";
+        name += std::to_string(i);
+        xInputs_.push_back(netlist_.addInput(name));
+    }
     firstCycle_ = netlist_.addInput("first_cycle");
 
     // Accumulator width: region counts fit in ceil(log2(n+1)) bits;

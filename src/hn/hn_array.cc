@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <optional>
+#include <utility>
 
 #include "common/logging.hh"
 #include "common/rng.hh"
@@ -80,55 +81,7 @@ HnArray::gemvSerial(const std::vector<std::int64_t> &activations,
                     ThreadPool *pool, HnKernel kernel,
                     HnScratchArena *arena) const
 {
-    std::vector<std::int64_t> out(neurons_.size());
-
-    // Packed/Simd kernels: serialise the activation vector at most
-    // once -- CachedPlanes::ensure() skips even that when the leased
-    // scratch already holds planes for this exact column (the engine
-    // feeds one column to several projections back to back).  The
-    // planes are immutable for the lifetime of the GEMV and every row
-    // worker reads them concurrently without synchronisation.
-    std::optional<HnScratchLease> lease;
-    const PackedPlanes *planes = nullptr;
-    if (kernel != HnKernel::Scalar) {
-        lease.emplace(arena);
-        planes = &lease->get().planes.ensure(activations, width);
-    }
-
-    // Each worker owns a disjoint, cache-line-aligned row range of
-    // `out` and a padded activity shard; the shards are folded after
-    // the join (exact integer sums, so shard-then-merge is bit-exact).
-    std::vector<ActivityShard> shards;
-    if (activity)
-        shards.resize(pool ? pool->threadCount() : 1);
-
-    parallelForChunked(
-        pool, neurons_.size(),
-        [&](std::size_t chunk, std::size_t begin, std::size_t end) {
-            HnActivity *local =
-                activity ? &shards[chunk].value : nullptr;
-            for (std::size_t r = begin; r < end; ++r) {
-                // A dead neuron drives 0 and toggles nothing; the mask
-                // is per-row state, so the parallel result stays
-                // bit-exact.
-                if (rowDead(r))
-                    out[r] = 0;
-                else if (kernel == HnKernel::Simd)
-                    out[r] = neurons_[r].computeSimd(*planes, local);
-                else if (planes)
-                    out[r] = neurons_[r].computePacked(*planes, local);
-                else
-                    out[r] = neurons_[r].computeSerial(activations,
-                                                       width, local);
-            }
-        },
-        /*grain=*/1, kRowAlign);
-
-    if (activity) {
-        for (const ActivityShard &shard : shards)
-            activity->add(shard.value);
-    }
-    return out;
+    return gemmSerial({activations}, width, activity, pool, kernel, arena);
 }
 
 std::vector<std::int64_t>
@@ -147,11 +100,12 @@ HnArray::gemmSerial(
                      " != array cols ", cols_);
     }
 
-    // Packed/Simd kernels: serialise every column at most once
-    // (per-column CachedPlanes skip the serialisation when a recycled
-    // scratch already holds that column); the planes are immutable for
-    // the lifetime of the GEMM and shared read-only by all row
-    // workers.
+    // Packed/Simd kernels: serialise every column at most once --
+    // per-column CachedPlanes skip even that when a recycled scratch
+    // already holds that column (the engine feeds one column to
+    // several projections back to back).  The planes are immutable for
+    // the lifetime of the GEMM and shared read-only by all row workers
+    // without synchronisation.
     std::optional<HnScratchLease> lease;
     std::vector<const PackedPlanes *> planes;
     if (kernel != HnKernel::Scalar) {
@@ -164,6 +118,9 @@ HnArray::gemmSerial(
             planes[b] = &batch_planes[b].ensure(activations[b], width);
     }
 
+    // Each worker owns a disjoint, cache-line-aligned row range of
+    // `out` and a padded activity shard; the shards are folded after
+    // the join (exact integer sums, so shard-then-merge is bit-exact).
     std::vector<ActivityShard> shards;
     if (activity)
         shards.resize(pool ? pool->threadCount() : 1);
@@ -175,6 +132,9 @@ HnArray::gemmSerial(
                 activity ? &shards[chunk].value : nullptr;
             for (std::size_t r = begin; r < end; ++r) {
                 std::int64_t *row_out = out.data() + r * batch;
+                // A dead neuron drives 0 and toggles nothing; the mask
+                // is per-row state, so the parallel result stays
+                // bit-exact.
                 if (rowDead(r)) {
                     for (std::size_t b = 0; b < batch; ++b)
                         row_out[b] = 0;
@@ -231,15 +191,9 @@ HnArray::gemvReal(const std::vector<double> &activations, unsigned width,
                   HnActivity *activity, ThreadPool *pool, HnKernel kernel,
                   HnScratchArena *arena) const
 {
-    const QuantizedVector q = quantizeSymmetric(activations, width);
-    const std::vector<std::int64_t> ints =
-        gemvSerial(q.values, width, activity, pool, kernel, arena);
-    std::vector<double> out(ints.size());
-    // Weights contribute 2*w, so fold the missing 1/2 into the scale.
-    const double scale = q.scale * 0.5;
-    for (std::size_t i = 0; i < ints.size(); ++i)
-        out[i] = static_cast<double>(ints[i]) * scale;
-    return out;
+    return std::move(
+        gemmReal({activations}, width, activity, pool, kernel, arena)
+            .front());
 }
 
 std::vector<std::vector<double>>
@@ -254,7 +208,7 @@ HnArray::gemmReal(const std::vector<std::vector<double>> &activations,
         QuantizedVector q = quantizeSymmetric(activations[b], width);
         ints[b] = std::move(q.values);
         // Weights contribute 2*w, so fold the missing 1/2 into the
-        // per-column scale (same expression gemvReal uses).
+        // per-column scale.
         scales[b] = q.scale * 0.5;
     }
     const std::vector<std::int64_t> flat =

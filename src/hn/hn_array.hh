@@ -6,9 +6,10 @@
  * rows share the same prefabricated Sea-of-Neurons template and differ
  * only in their metal wire topology.  The array exposes:
  *
- *  - bit-exact integer GEMV on quantised activations (bit-serial path and
- *    a reference path, which must agree);
- *  - a real-valued GEMV that quantises activations, runs the integer
+ *  - bit-exact integer GEMM on quantised activation columns (bit-serial
+ *    path, one weight traversal for every column, and a reference GEMV,
+ *    which must agree); a GEMV is a GEMM of one column;
+ *  - a real-valued GEMM that quantises activations, runs the integer
  *    path and dequantises (this is what the transformer engine uses);
  *  - aggregate structural statistics for the physical model.
  */
@@ -66,24 +67,7 @@ class HnArray
     /** True when @p row is a dead (unrepaired) neuron. */
     bool rowDead(std::size_t row) const;
 
-    /**
-     * Bit-serial integer GEMV: out_j = sum_i (2*W_ji) * x_i.
-     * With @p pool, output rows are partitioned into disjoint chunks
-     * (one neuron row per output element, so bit-exact vs serial);
-     * per-worker activity counters are summed into @p activity.
-     *
-     * @param kernel HnKernel::Packed (default) serialises the
-     *        activations at most once into PackedPlanes (a recycled
-     *        scratch whose cached planes already match this column
-     *        skips even that) and evaluates every row word-parallel;
-     *        HnKernel::Simd runs the same traversal with the
-     *        vectorised inner loop (src/hn/hn_simd.hh);
-     *        HnKernel::Scalar is the original per-row emulation.
-     *        Outputs and activity counters are bit-identical across
-     *        all three.
-     * @param arena optional scratch recycler for the plane buffer;
-     *        null allocates a transient scratch per call.
-     */
+    /** Integer GEMV out_j = sum_i (2*W_ji) * x_i: one-column gemmSerial. */
     std::vector<std::int64_t> gemvSerial(
         const std::vector<std::int64_t> &activations, unsigned width,
         HnActivity *activity = nullptr, ThreadPool *pool = nullptr,
@@ -91,21 +75,30 @@ class HnArray
         HnScratchArena *arena = nullptr) const;
 
     /**
-     * Batched integer GEMM: one weight-side traversal evaluated against
-     * @p activations.size() activation columns.  Returns a flat
-     * rows x batch buffer, result of column b for row r at
-     * [r * batch + b]; column b is bit-identical to
-     * gemvSerial(activations[b], ...) and @p activity accumulates the
-     * exact sum of the per-column counters.  With HnKernel::Packed the
-     * columns are serialised once into per-column PackedPlanes and each
-     * neuron row runs one region-mask traversal over all columns
-     * (chunks of kHnBatchChunk, HardwiredNeuron::computePackedBatch),
-     * amortising mask loads and region-walk overhead across the batch;
-     * HnKernel::Simd runs the same traversal with the vectorised
-     * multi-column body (HardwiredNeuron::computeSimdBatch), so the
-     * kernel choice means the same thing at every batch size; Scalar
-     * evaluates column by column.  Rows are still partitioned across
-     * @p pool workers.
+     * Bit-serial integer GEMM: one weight-side traversal evaluated
+     * against @p activations.size() activation columns.  Returns a
+     * flat rows x batch buffer, result of column b for row r at
+     * [r * batch + b].  Column b is bit-identical to running it alone
+     * (a batch of one), and @p activity accumulates the exact sum of
+     * the per-column counters.  With @p pool, output rows are
+     * partitioned into disjoint chunks (one neuron row per output
+     * element, so bit-exact vs serial); per-worker activity counters
+     * are summed into @p activity.
+     *
+     * @param kernel HnKernel::Packed (default) serialises each column
+     *        at most once into per-column PackedPlanes (a recycled
+     *        scratch whose cached planes already match a column skips
+     *        even that) and runs each neuron row's region-mask
+     *        traversal over all columns at once (chunks of
+     *        kHnBatchChunk, HardwiredNeuron::computePackedBatch),
+     *        amortising mask loads and region-walk overhead across the
+     *        batch; HnKernel::Simd runs the same traversal with the
+     *        vectorised multi-column body
+     *        (HardwiredNeuron::computeSimdBatch); HnKernel::Scalar is
+     *        the original per-row, per-column emulation.  Outputs and
+     *        activity counters are bit-identical across all three.
+     * @param arena optional scratch recycler for the plane buffers;
+     *        null allocates a transient scratch per call.
      */
     std::vector<std::int64_t> gemmSerial(
         const std::vector<std::vector<std::int64_t>> &activations,
@@ -117,12 +110,7 @@ class HnArray
     std::vector<std::int64_t> gemvReference(
         const std::vector<std::int64_t> &activations) const;
 
-    /**
-     * Real-valued GEMV: symmetric @p width-bit activation quantisation,
-     * integer evaluation, dequantisation (including the 1/2 from the
-     * twice-value weight convention).  @p kernel / @p arena as in
-     * gemvSerial.
-     */
+    /** Real-valued GEMV: gemmReal of one column. */
     std::vector<double> gemvReal(const std::vector<double> &activations,
                                  unsigned width = 8,
                                  HnActivity *activity = nullptr,
@@ -131,11 +119,12 @@ class HnArray
                                  HnScratchArena *arena = nullptr) const;
 
     /**
-     * Batched real GEMM: every activation column is quantised with its
-     * own symmetric scale (exactly as gemvReal would alone, so column
-     * results are bit-identical to per-column gemvReal calls), the
-     * integer batch runs through gemmSerial's single weight traversal,
-     * and each column dequantises with its own scale.
+     * Real-valued GEMM: every activation column is quantised with its
+     * own symmetric @p width-bit scale, the integer batch runs through
+     * gemmSerial's single weight traversal, and each column
+     * dequantises with its own scale (including the 1/2 from the
+     * twice-value weight convention).  @p kernel / @p arena as in
+     * gemmSerial.
      * @return one output vector per activation column
      */
     std::vector<std::vector<double>> gemmReal(

@@ -1,6 +1,6 @@
 /**
  * @file
- * Kernel selection and scratch memory for HN array GEMV.
+ * Kernel selection and scratch memory for HN array GEMM.
  *
  * The HN array has three bit-exact host kernels:
  *
@@ -8,31 +8,31 @@
  *    activation vector into std::vector<bool> planes and walk each FP4
  *    region's input list element by element (one emulated wire at a
  *    time);
- *  - Packed: the word-parallel model -- serialise the activations ONCE
- *    per GEMV into PackedPlanes (64 lanes per uint64_t word), compile
- *    each region's input list into mask words at programming time, and
- *    reduce each (plane, region) pair with popcount(plane & mask);
+ *  - Packed: the word-parallel model -- serialise each activation
+ *    column ONCE per GEMM into PackedPlanes (64 lanes per uint64_t
+ *    word), compile each region's input list into mask words at
+ *    programming time, and reduce each (plane, region) pair with
+ *    popcount(plane & mask) for every column in one mask traversal;
  *  - Simd: the vectorised Packed model -- the same region-mask
  *    traversal with a SIMD inner loop (AVX-512 VPOPCNTQ or an AVX2
  *    Mula popcount, dispatched at runtime behind the HNLPU_SIMD
- *    compile-time gate; portable std::popcount otherwise),
- *    cache-blocked word tiles and all-zero plane/word skipping
- *    (src/hn/hn_simd.{hh,cc}).
+ *    compile-time gate; the Packed loop otherwise), cache-blocked word
+ *    tiles and all-zero plane skipping (src/hn/hn_simd.{hh,cc}).
  *
  * All kernels produce identical integer outputs and identical
  * HnActivity counters (the word-parallel kernels still account logical
  * region bits, not words, and zero-skips never change the counters);
  * tests/test_hn_kernel.cc pins this.  Packed is the engine default.
  *
- * HnScratch owns the CachedPlanes buffers of one in-flight GEMV/GEMM.
+ * HnScratch owns the CachedPlanes buffers of one in-flight GEMM.
  * HnScratchArena recycles scratches across calls and across concurrent
  * callers (e.g. expert-parallel MoE workers) through a lock-free slot
  * array -- acquire/release are a single atomic exchange on the
  * caller's preferred slot in steady state, so leasing never serialises
- * concurrent GEMVs the way the old mutex-guarded freelist did.  The
+ * concurrent GEMMs the way the old mutex-guarded freelist did.  The
  * arena hands each caller an exclusive scratch; the PackedPlanes built
- * into it is then shared strictly read-only by the row workers of that
- * one GEMV.
+ * into it are then shared strictly read-only by the row workers of that
+ * one GEMM.
  */
 
 #ifndef HNLPU_HN_HN_KERNEL_HH
@@ -101,15 +101,14 @@ class CachedPlanes
     std::size_t buildCount_ = 0;
 };
 
-/** Reusable per-GEMV working memory (exclusively owned while leased). */
+/** Reusable per-GEMM working memory (exclusively owned while leased). */
 struct HnScratch
 {
-    CachedPlanes planes;
     /**
-     * One CachedPlanes per batch column for the batched GEMM path
-     * (HnArray::gemmSerial).  Grown on demand and never shrunk, so a
-     * recycled scratch keeps every column's word buffer across calls
-     * and steady-state batched decode allocates no plane memory.
+     * One CachedPlanes per activation column of HnArray::gemmSerial.
+     * Grown on demand and never shrunk, so a recycled scratch keeps
+     * every column's word buffer across calls and steady-state decode
+     * allocates no plane memory.
      */
     std::vector<CachedPlanes> batchPlanes;
 };

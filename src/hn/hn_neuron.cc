@@ -89,88 +89,6 @@ HardwiredNeuron::computeSerial(
     return result;
 }
 
-std::int64_t
-HardwiredNeuron::computePacked(const PackedPlanes &planes,
-                               HnActivity *activity) const
-{
-    hnlpu_assert(planes.laneCount() == topology_.tmpl().inputCount,
-                 "activation count mismatch");
-    hnlpu_assert(planes.wordsPerPlane() == wordsPerPlane_,
-                 "packed plane geometry mismatch");
-
-    const unsigned width = planes.width();
-    // Hoist the plane base pointers out of the hot loops (width <= 63
-    // by BitSerializer contract, so a stack array suffices).
-    const std::uint64_t *plane_ptr[63];
-    for (unsigned bit = 0; bit < width; ++bit)
-        plane_ptr[bit] = planes.plane(bit);
-
-    const auto &twice = fp4TwiceValueTable();
-    std::int64_t total = 0;
-    std::size_t region_bits = 0;
-
-    for (const RegionMask &region : regionMasks_) {
-        const std::uint64_t *mask = maskWords_.data() + region.wordOffset;
-        region_bits += region.bits;
-        // Region integer sum: sum_bit (+-2^bit) * popcount_bit -- the
-        // identical int64 additions the scalar path's SerialAccumulator
-        // performs plane by plane, so the per-region totals (and with
-        // them the final result) are bit-exact, not merely close.
-        std::int64_t region_sum = 0;
-        for (unsigned bit = 0; bit < width; ++bit) {
-            const std::uint64_t *plane = plane_ptr[bit];
-            std::int64_t count = 0;
-            for (std::size_t w = 0; w < wordsPerPlane_; ++w)
-                count += std::popcount(plane[w] & mask[w]);
-            const std::int64_t weight = std::int64_t(1) << bit;
-            region_sum += (bit + 1 == width ? -weight : weight) * count;
-        }
-        // Constant multiply, folded straight into the running total:
-        // csaReduce() is an exact integer sum of the per-region
-        // products, so accumulating them directly yields the same
-        // value without the scalar path's per-row product vector.
-        total += region_sum * twice[region.code];
-    }
-
-    addActivity(width, 1, region_bits, activity);
-    return total;
-}
-
-std::int64_t
-HardwiredNeuron::computeSimd(const PackedPlanes &planes,
-                             HnActivity *activity) const
-{
-    hnlpu_assert(planes.laneCount() == topology_.tmpl().inputCount,
-                 "activation count mismatch");
-    hnlpu_assert(planes.wordsPerPlane() == wordsPerPlane_,
-                 "packed plane geometry mismatch");
-
-    // Narrow rows cannot amortise the vector bodies' per-tile fixed
-    // cost (dispatch, tail masking, horizontal reduction); the Packed
-    // kernel's fused loop is the fastest exact path there and computes
-    // the identical integer sums and activity, so delegating keeps the
-    // Simd kernel a strict never-slower superset.
-    if (wordsPerPlane_ < kHnSimdMinWords)
-        return computePacked(planes, activity);
-
-    const unsigned width = planes.width();
-    // Region sums land in a stack array: region count <= kFp4Codes.
-    std::int64_t region_sums[kFp4Codes];
-    hnRegionSums(planes, maskWords_.data(), regionMasks_.data(),
-                 regionMasks_.size(), wordsPerPlane_, region_sums);
-
-    const auto &twice = fp4TwiceValueTable();
-    std::int64_t total = 0;
-    std::size_t region_bits = 0;
-    for (std::size_t r = 0; r < regionMasks_.size(); ++r) {
-        total += region_sums[r] * twice[regionMasks_[r].code];
-        region_bits += regionMasks_[r].bits;
-    }
-
-    addActivity(width, 1, region_bits, activity);
-    return total;
-}
-
 void
 HardwiredNeuron::checkBatch(const PackedPlanes *const *planes,
                             std::size_t batch) const
@@ -198,9 +116,9 @@ HardwiredNeuron::addActivity(unsigned width, std::size_t columns,
         return;
     // Logical wires examined (one per region input per plane), not host
     // words: the counters model the hardware popcount fabric, not the
-    // emulation, so plane/word zero skips and the batched kernels'
-    // shared mask loads never change them.  A batch is exactly
-    // `columns` single-column evaluations' worth of logical work.
+    // emulation, so zero-plane skips and the shared mask loads never
+    // change them.  A batch is exactly `columns` single-column
+    // evaluations' worth of logical work.
     const CsaTreeShape tree = csaTreeShape(regionMasks_.size());
     activity->cycles += columns * bitSerialCycles(width, tree.depth);
     activity->popcountBitOps += columns * width * region_bits;
@@ -225,54 +143,71 @@ HardwiredNeuron::computePackedBatch(const PackedPlanes *const *planes,
     }
 
     const auto &twice = fp4TwiceValueTable();
+    const std::size_t words = wordsPerPlane_;
     for (std::size_t b = 0; b < batch; ++b)
         out[b] = 0;
     std::size_t region_bits = 0;
 
+    // Region sum of a column: sum_bit (+-2^bit) * popcount_bit, the
+    // identical int64 additions computeSerial's SerialAccumulator
+    // performs plane by plane, so every column's region sum (and final
+    // total) is bit-exact.  The constant multiply folds straight into
+    // the running total: csaReduce() is an exact integer sum of the
+    // per-region products, so accumulating them directly yields the
+    // same value without computeSerial's per-row product vector.  The
+    // sums stay in registers across the bit loop; on narrow rows a
+    // memory accumulator per (region, bit) costs as much as the
+    // popcounts.
+    const auto plane_weight = [width](unsigned bit) {
+        const std::int64_t weight = std::int64_t(1) << bit;
+        return bit + 1 == width ? -weight : weight;
+    };
     for (const RegionMask &region : regionMasks_) {
         const std::uint64_t *mask = maskWords_.data() + region.wordOffset;
+        const std::int64_t twice_w = twice[region.code];
         region_bits += region.bits;
-        // One region accumulator per column, updated plane by plane in
-        // the same order computePacked uses, so every column's region
-        // sum (and final total) is the identical int64 value.
-        std::int64_t region_sum[kHnBatchChunk] = {0};
-        for (unsigned bit = 0; bit < width; ++bit) {
-            const std::int64_t weight = std::int64_t(1) << bit;
-            const std::int64_t signed_weight =
-                bit + 1 == width ? -weight : weight;
-            std::size_t b = 0;
-            // Four-column unroll: each mask word is loaded once and
-            // ANDed into four independent popcount chains, so the
-            // superscalar core overlaps what the one-column kernel
-            // serialises behind a single accumulator.
-            for (; b + 4 <= batch; b += 4) {
+        std::size_t b = 0;
+        // Four-column groups: each mask word is loaded once and ANDed
+        // into four independent popcount chains, so the superscalar
+        // core overlaps what one column serialises behind a single
+        // accumulator.
+        for (; b + 4 <= batch; b += 4) {
+            std::int64_t s0 = 0, s1 = 0, s2 = 0, s3 = 0;
+            for (unsigned bit = 0; bit < width; ++bit) {
                 const std::uint64_t *p0 = plane_ptr[b + 0][bit];
                 const std::uint64_t *p1 = plane_ptr[b + 1][bit];
                 const std::uint64_t *p2 = plane_ptr[b + 2][bit];
                 const std::uint64_t *p3 = plane_ptr[b + 3][bit];
                 std::int64_t c0 = 0, c1 = 0, c2 = 0, c3 = 0;
-                for (std::size_t w = 0; w < wordsPerPlane_; ++w) {
+                for (std::size_t w = 0; w < words; ++w) {
                     const std::uint64_t m = mask[w];
                     c0 += std::popcount(p0[w] & m);
                     c1 += std::popcount(p1[w] & m);
                     c2 += std::popcount(p2[w] & m);
                     c3 += std::popcount(p3[w] & m);
                 }
-                region_sum[b + 0] += signed_weight * c0;
-                region_sum[b + 1] += signed_weight * c1;
-                region_sum[b + 2] += signed_weight * c2;
-                region_sum[b + 3] += signed_weight * c3;
+                const std::int64_t signed_weight = plane_weight(bit);
+                s0 += signed_weight * c0;
+                s1 += signed_weight * c1;
+                s2 += signed_weight * c2;
+                s3 += signed_weight * c3;
             }
-            for (; b < batch; ++b) {
+            out[b + 0] += s0 * twice_w;
+            out[b + 1] += s1 * twice_w;
+            out[b + 2] += s2 * twice_w;
+            out[b + 3] += s3 * twice_w;
+        }
+        for (; b < batch; ++b) {
+            std::int64_t sum = 0;
+            for (unsigned bit = 0; bit < width; ++bit) {
                 const std::uint64_t *plane = plane_ptr[b][bit];
                 std::int64_t count = 0;
-                for (std::size_t w = 0; w < wordsPerPlane_; ++w)
+                for (std::size_t w = 0; w < words; ++w)
                     count += std::popcount(plane[w] & mask[w]);
-                region_sum[b] += signed_weight * count;
+                sum += plane_weight(bit) * count;
             }
+            out[b] += sum * twice_w;
         }
-        for (std::size_t b = 0; b < batch; ++b)
-            out[b] += region_sum[b] * twice[region.code];
     }
 
     addActivity(width, batch, region_bits, activity);
@@ -283,9 +218,10 @@ HardwiredNeuron::computeSimdBatch(const PackedPlanes *const *planes,
                                   std::size_t batch, std::int64_t *out,
                                   HnActivity *activity) const
 {
-    // Same cutover as computeSimd: below kHnSimdMinWords the Packed
-    // batch loop is the fastest exact path.
-    if (wordsPerPlane_ < kHnSimdMinWords) {
+    // Below kHnSimdMinWords the Packed batch loop is the fastest exact
+    // path, and the Portable tier has no vector body of its own.
+    if (wordsPerPlane_ < kHnSimdMinWords ||
+        hnSimdLevel() == HnSimdLevel::Portable) {
         computePackedBatch(planes, batch, out, activity);
         return;
     }

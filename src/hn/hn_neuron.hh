@@ -93,42 +93,22 @@ class HardwiredNeuron
         HnActivity *activity = nullptr) const;
 
     /**
-     * Evaluate the neuron word-parallel (Packed kernel): each
+     * Evaluate the neuron word-parallel (Packed kernel) against
+     * @p batch activation sets in ONE region-mask traversal: each
      * (bit plane, region) popcount runs 64 wires per instruction as
-     * popcount(plane_word & mask_word).  Bit-exact with computeSerial
-     * on the serialisation of the same activations, including the
-     * HnActivity counters (popcountBitOps counts logical region bits).
-     * @p planes is shared read-only: this method never mutates it, so
-     * many rows/threads may evaluate against one PackedPlanes.
-     */
-    std::int64_t computePacked(const PackedPlanes &planes,
-                               HnActivity *activity = nullptr) const;
-
-    /**
-     * Evaluate the neuron with the SIMD inner loop (Simd kernel): the
-     * Packed traversal with vectorised AND+POPCNT (AVX-512 VPOPCNTQ /
-     * AVX2, runtime-dispatched; portable std::popcount fallback),
-     * cache-blocked word tiles and all-zero plane/word skipping --
-     * see src/hn/hn_simd.hh.  Bit-exact with computeSerial and
-     * computePacked including the HnActivity counters (which account
-     * logical wires; zero-skips never change them).
-     */
-    std::int64_t computeSimd(const PackedPlanes &planes,
-                             HnActivity *activity = nullptr) const;
-
-    /**
-     * Evaluate the neuron against @p batch activation sets in ONE
-     * region-mask traversal (the batched-GEMM building block): each
-     * region's mask words are loaded once and applied to every
-     * column's planes, so the weight-side work (region walk, mask
-     * loads, per-plane sign/weight setup) is amortised across the
-     * batch the way the hardwired fabric amortises its single weight
-     * traversal across in-flight sequences.
+     * popcount(plane_word & mask_word), and each region's mask words
+     * are loaded once and applied to every column's planes, so the
+     * weight-side work (region walk, mask loads, per-plane sign/weight
+     * setup) is amortised across the batch the way the hardwired
+     * fabric amortises its single weight traversal across in-flight
+     * sequences.  A solo evaluation is a batch of one.
      *
-     * Column b's result is bit-identical to
-     * computePacked(*planes[b]) -- identical int64 additions in the
-     * identical order -- and the HnActivity counters accumulate the
-     * exact sum of the per-column counters (logical wires, as ever).
+     * Column b's result is bit-identical to computeSerial on the
+     * serialisation of the same activations, and the HnActivity
+     * counters accumulate the exact sum of the per-column counters
+     * (popcountBitOps counts logical region bits, not host words).
+     * @p planes are shared read-only: this method never mutates them,
+     * so many rows/threads may evaluate against one set.
      *
      * All planes must share one width and this neuron's geometry;
      * batch must be in [1, kHnBatchChunk].
@@ -145,8 +125,8 @@ class HardwiredNeuron
      * into every column's plane, per-bit popcounts fold into per-column
      * vector accumulators, and each (region, column) pays one
      * horizontal reduction.  Same contract, results and HnActivity as
-     * computePackedBatch (and so as per-column computeSimd).  Rows
-     * below kHnSimdMinWords delegate to computePackedBatch.
+     * computePackedBatch.  Rows below kHnSimdMinWords, and every row
+     * while the active tier is Portable, run computePackedBatch.
      */
     void computeSimdBatch(const PackedPlanes *const *planes,
                           std::size_t batch, std::int64_t *out,

@@ -3,12 +3,12 @@
 #include <algorithm>
 #include <atomic>
 #include <bit>
-#include <iterator>
 
 #include "common/logging.hh"
 
 // The vector bodies exist only on x86 GCC/Clang with the build-time
-// gate on; everywhere else hnRegionSums is the portable body alone.
+// gate on; everywhere else the Portable tier is the only one, and
+// HnKernel::Simd runs HardwiredNeuron::computePackedBatch.
 #if defined(HNLPU_SIMD_ENABLE) && HNLPU_SIMD_ENABLE &&                   \
     (defined(__x86_64__) || defined(__i386__)) && defined(__GNUC__)
 #define HNLPU_SIMD_X86 1
@@ -37,10 +37,6 @@ constexpr std::size_t kTileWords = 512;
  */
 constexpr std::size_t kGroupColumns = 4;
 
-using RegionSumsFn = void (*)(const PackedPlanes &, const std::uint64_t *,
-                              const RegionMask *, std::size_t, std::size_t,
-                              std::int64_t *);
-
 /** One column's plane base pointers, indexed by bit (width <= 63). */
 using PlaneRow = const std::uint64_t *[63];
 
@@ -57,61 +53,7 @@ using GroupSumsFn = void (*)(const PlaneRow *plane_ptr, std::size_t tile,
                              std::int64_t *sums);
 
 /**
- * Shared traversal shape of every tier: tiles outermost so the masks
- * and planes of one tile stay hot across all (region, bit) pairs, then
- * regions, then non-zero bit planes, with @p count_tile producing the
- * exact popcount of (plane & mask) over one tile.  Integer addition is
- * associative, so this tiling is bit-exact against the straight-line
- * computePacked loop by construction.
- *
- * The tile counter is a template *value* parameter on purpose: the
- * three tier functions share one signature, so a deduced pointer-typed
- * argument would collapse every tier into a single instantiation with
- * a runtime callee -- an indirect call per (region, bit) the compiler
- * cannot inline, which on narrow rows costs more than the popcounts
- * themselves.  A value parameter gives each tier its own instantiation
- * with a known (and, for the portable body, fully inlined) callee.
- */
-template <auto count_tile>
-inline void
-regionSumsTiled(const PackedPlanes &planes, const std::uint64_t *mask_words,
-                const RegionMask *regions, std::size_t region_count,
-                std::size_t words_per_plane, std::int64_t *region_sums)
-{
-    const unsigned width = planes.width();
-    const std::uint64_t non_zero = planes.nonZeroPlaneMask();
-    const std::uint64_t *plane_ptr[63];
-    for (unsigned bit = 0; bit < width; ++bit)
-        plane_ptr[bit] = planes.plane(bit);
-
-    for (std::size_t r = 0; r < region_count; ++r)
-        region_sums[r] = 0;
-
-    for (std::size_t tile = 0; tile < words_per_plane;
-         tile += kTileWords) {
-        const std::size_t len =
-            std::min(kTileWords, words_per_plane - tile);
-        for (std::size_t r = 0; r < region_count; ++r) {
-            const std::uint64_t *mask =
-                mask_words + regions[r].wordOffset + tile;
-            std::int64_t sum = 0;
-            for (unsigned bit = 0; bit < width; ++bit) {
-                // An all-zero plane popcounts to 0 against every mask:
-                // skipping it changes nothing but the wall clock.
-                if (!((non_zero >> bit) & 1ULL))
-                    continue;
-                const std::int64_t count =
-                    count_tile(plane_ptr[bit] + tile, mask, len);
-                const std::int64_t weight = std::int64_t(1) << bit;
-                sum += (bit + 1 == width ? -weight : weight) * count;
-            }
-            region_sums[r] += sum;
-        }
-    }
-}
-
-/**
- * Batched traversal shared by every tier: tiles, then regions, then
+ * Traversal shared by the vector tiers: tiles, then regions, then
  * groups of up to kGroupColumns columns, each handed to the tier's
  * exact-width group body (groups[columns - 1]), so a ragged last group
  * does no padded work.  A plane is skipped for a group only when it is
@@ -158,60 +100,6 @@ regionSumsBatchTiled(const GroupSumsFn *groups,
     }
 }
 
-std::int64_t
-countTilePortable(const std::uint64_t *plane, const std::uint64_t *mask,
-                  std::size_t n)
-{
-    std::int64_t count = 0;
-    for (std::size_t w = 0; w < n; ++w)
-        count += std::popcount(plane[w] & mask[w]);
-    return count;
-}
-
-void
-regionSumsPortable(const PackedPlanes &planes,
-                   const std::uint64_t *mask_words,
-                   const RegionMask *regions, std::size_t region_count,
-                   std::size_t words_per_plane, std::int64_t *region_sums)
-{
-    regionSumsTiled<countTilePortable>(planes, mask_words, regions,
-                                     region_count, words_per_plane,
-                                     region_sums);
-}
-
-/** Portable group body: computePackedBatch's loop, one tile at a time. */
-template <std::size_t G>
-void
-groupSumsPortable(const PlaneRow *plane_ptr, std::size_t tile,
-                  const std::uint64_t *mask, std::size_t len,
-                  std::uint64_t live, unsigned width, std::int64_t *sums)
-{
-    std::int64_t acc[G] = {};
-    for (; live != 0; live &= live - 1) {
-        const unsigned bit = std::countr_zero(live);
-        const std::uint64_t *p[G];
-        for (std::size_t g = 0; g < G; ++g)
-            p[g] = plane_ptr[g][bit] + tile;
-        std::int64_t count[G] = {};
-        for (std::size_t w = 0; w < len; ++w) {
-            const std::uint64_t m = mask[w];
-            for (std::size_t g = 0; g < G; ++g)
-                count[g] += std::popcount(p[g][w] & m);
-        }
-        const std::int64_t weight = std::int64_t(1) << bit;
-        const std::int64_t signed_weight =
-            bit + 1 == width ? -weight : weight;
-        for (std::size_t g = 0; g < G; ++g)
-            acc[g] += signed_weight * count[g];
-    }
-    for (std::size_t g = 0; g < G; ++g)
-        sums[g] += acc[g];
-}
-
-constexpr GroupSumsFn kPortableGroups[kGroupColumns] = {
-    groupSumsPortable<1>, groupSumsPortable<2>, groupSumsPortable<3>,
-    groupSumsPortable<4>};
-
 #if HNLPU_SIMD_X86
 
 /**
@@ -243,43 +131,6 @@ reduceAddAvx2(__m256i v)
     const __m128i pair = _mm_add_epi64(_mm256_castsi256_si128(v),
                                        _mm256_extracti128_si256(v, 1));
     return _mm_cvtsi128_si64(pair) + _mm_extract_epi64(pair, 1);
-}
-
-/**
- * AVX2 tile popcount, four words per step (popcountLanesAvx2).  An
- * all-zero 4-word plane block is skipped with one VPTEST before the
- * mask load.
- */
-__attribute__((target("avx2"))) std::int64_t
-countTileAvx2(const std::uint64_t *plane, const std::uint64_t *mask,
-              std::size_t n)
-{
-    __m256i acc = _mm256_setzero_si256();
-    std::size_t w = 0;
-    for (; w + 4 <= n; w += 4) {
-        const __m256i p = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i *>(plane + w));
-        if (_mm256_testz_si256(p, p))
-            continue;
-        const __m256i v = _mm256_and_si256(
-            p, _mm256_loadu_si256(
-                   reinterpret_cast<const __m256i *>(mask + w)));
-        acc = _mm256_add_epi64(acc, popcountLanesAvx2(v));
-    }
-    std::int64_t count = reduceAddAvx2(acc);
-    for (; w < n; ++w)
-        count += std::popcount(plane[w] & mask[w]);
-    return count;
-}
-
-__attribute__((target("avx2"))) void
-regionSumsAvx2(const PackedPlanes &planes, const std::uint64_t *mask_words,
-               const RegionMask *regions, std::size_t region_count,
-               std::size_t words_per_plane, std::int64_t *region_sums)
-{
-    regionSumsTiled<countTileAvx2>(planes, mask_words, regions,
-                                     region_count, words_per_plane,
-                                     region_sums);
 }
 
 /**
@@ -374,49 +225,6 @@ reduceAddAvx512(__m512i v)
 }
 
 /**
- * AVX-512 tile popcount: one VPOPCNTQ per eight words, all-zero plane
- * blocks skipped via VPTESTMQ, the ragged tail handled with a masked
- * load (lanes beyond the tile read as zero and contribute zero).
- */
-__attribute__((
-    target("avx512f,avx512bw,avx512vl,avx512vpopcntdq"))) std::int64_t
-countTileAvx512(const std::uint64_t *plane, const std::uint64_t *mask,
-                std::size_t n)
-{
-    __m512i acc = _mm512_setzero_si512();
-    std::size_t w = 0;
-    for (; w + 8 <= n; w += 8) {
-        const __m512i p = _mm512_loadu_si512(plane + w);
-        if (_mm512_test_epi64_mask(p, p) == 0)
-            continue;
-        const __m512i v =
-            _mm512_and_si512(p, _mm512_loadu_si512(mask + w));
-        acc = _mm512_add_epi64(acc, _mm512_popcnt_epi64(v));
-    }
-    if (w < n) {
-        const __mmask8 tail =
-            static_cast<__mmask8>((1u << (n - w)) - 1u);
-        const __m512i p = _mm512_maskz_loadu_epi64(tail, plane + w);
-        const __m512i m = _mm512_maskz_loadu_epi64(tail, mask + w);
-        acc = _mm512_add_epi64(
-            acc, _mm512_popcnt_epi64(_mm512_and_si512(p, m)));
-    }
-    return reduceAddAvx512(acc);
-}
-
-__attribute__((
-    target("avx512f,avx512bw,avx512vl,avx512vpopcntdq"))) void
-regionSumsAvx512(const PackedPlanes &planes,
-                 const std::uint64_t *mask_words,
-                 const RegionMask *regions, std::size_t region_count,
-                 std::size_t words_per_plane, std::int64_t *region_sums)
-{
-    regionSumsTiled<countTileAvx512>(planes, mask_words, regions,
-                                     region_count, words_per_plane,
-                                     region_sums);
-}
-
-/**
  * AVX-512 group body: one VPOPCNTQ per eight words per column, the
  * ragged tail through zero-masked loads.  Same lane accumulation as
  * groupSumsAvx2.
@@ -479,19 +287,18 @@ constexpr GroupSumsFn kAvx512Groups[kGroupColumns] = {
 
 struct SimdDispatch
 {
-    RegionSumsFn fn;
-    const GroupSumsFn *groups; //!< group bodies, [columns - 1]
+    /** Group bodies, [columns - 1]; null for the Portable tier. */
+    const GroupSumsFn *groups;
     HnSimdLevel level;
     const char *name;
 };
 
 /** The tiers compiled into this build, indexed by HnSimdLevel. */
 constexpr SimdDispatch kTiers[] = {
-    {regionSumsPortable, kPortableGroups, HnSimdLevel::Portable,
-     "portable"},
+    {nullptr, HnSimdLevel::Portable, "portable"},
 #if HNLPU_SIMD_X86
-    {regionSumsAvx2, kAvx2Groups, HnSimdLevel::Avx2, "avx2"},
-    {regionSumsAvx512, kAvx512Groups, HnSimdLevel::Avx512, "avx512"},
+    {kAvx2Groups, HnSimdLevel::Avx2, "avx2"},
+    {kAvx512Groups, HnSimdLevel::Avx512, "avx512"},
 #endif
 };
 
@@ -515,26 +322,12 @@ cpuSupports(HnSimdLevel level)
     return level == HnSimdLevel::Portable;
 }
 
-bool
-levelSupported(HnSimdLevel level)
-{
-    return static_cast<std::size_t>(level) < std::size(kTiers) &&
-           cpuSupports(level);
-}
-
 std::atomic<HnSimdLevel> &
 activeLevel()
 {
     // Resolved once, first use, to the best tier the CPU supports; only
     // ScopedHnSimdLevel moves it afterwards.
-    static std::atomic<HnSimdLevel> level = [] {
-        HnSimdLevel best = HnSimdLevel::Portable;
-        for (const SimdDispatch &tier : kTiers) {
-            if (cpuSupports(tier.level))
-                best = tier.level;
-        }
-        return best;
-    }();
+    static std::atomic<HnSimdLevel> level{hnSupportedSimdLevels().back()};
     return level;
 }
 
@@ -575,8 +368,10 @@ hnSupportedSimdLevels()
 
 ScopedHnSimdLevel::ScopedHnSimdLevel(HnSimdLevel level)
 {
-    hnlpu_assert(levelSupported(level), "SIMD tier ",
-                 static_cast<int>(level),
+    const std::vector<HnSimdLevel> levels = hnSupportedSimdLevels();
+    hnlpu_assert(std::find(levels.begin(), levels.end(), level) !=
+                     levels.end(),
+                 "SIMD tier ", static_cast<int>(level),
                  " is not supported by this build and CPU");
     previous_ = activeLevel().exchange(level, std::memory_order_relaxed);
 }
@@ -587,42 +382,17 @@ ScopedHnSimdLevel::~ScopedHnSimdLevel()
 }
 
 void
-hnRegionSums(const PackedPlanes &planes, const std::uint64_t *mask_words,
-             const RegionMask *regions, std::size_t region_count,
-             std::size_t words_per_plane, std::int64_t *region_sums)
-{
-    hnlpu_assert(words_per_plane == planes.wordsPerPlane(),
-                 "packed plane geometry mismatch");
-    // See kHnSimdMinWords: narrow stripes cannot amortise the vector
-    // bodies' per-tile fixed cost, and the portable instantiation
-    // inlines to the same popcount loop the Packed kernel runs.
-    if (words_per_plane < kHnSimdMinWords) {
-        regionSumsPortable(planes, mask_words, regions, region_count,
-                           words_per_plane, region_sums);
-        return;
-    }
-    dispatch().fn(planes, mask_words, regions, region_count,
-                  words_per_plane, region_sums);
-}
-
-void
 hnRegionSumsBatch(const PackedPlanes *const *planes, std::size_t cols,
                   const std::uint64_t *mask_words,
                   const RegionMask *regions, std::size_t region_count,
                   std::size_t words_per_plane, std::int64_t *region_sums)
 {
-    hnlpu_assert(cols >= 1 && cols <= kHnBatchChunk, "batch ", cols,
-                 " outside [1, ", kHnBatchChunk, "]");
-    for (std::size_t c = 0; c < cols; ++c) {
-        hnlpu_assert(planes[c]->wordsPerPlane() == words_per_plane,
-                     "packed plane geometry mismatch in batch column ", c);
-        hnlpu_assert(planes[c]->width() == planes[0]->width(),
-                     "batch columns must share one width");
-    }
-    // Same cutover as hnRegionSums (see kHnSimdMinWords).
-    const GroupSumsFn *groups = words_per_plane < kHnSimdMinWords
-                                    ? kPortableGroups
-                                    : dispatch().groups;
+    // HardwiredNeuron::computeSimdBatch checks the batch and takes
+    // narrow rows and the Portable tier to computePackedBatch itself.
+    const GroupSumsFn *groups = dispatch().groups;
+    hnlpu_assert(words_per_plane >= kHnSimdMinWords && groups != nullptr,
+                 "hnRegionSumsBatch needs a vector tier and at least ",
+                 kHnSimdMinWords, " words per plane");
     regionSumsBatchTiled(groups, planes, cols, mask_words, regions,
                          region_count, words_per_plane, region_sums);
 }

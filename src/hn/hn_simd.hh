@@ -4,42 +4,42 @@
  *
  * The packed kernel's hot loop is, per neuron row, a
  * (region x bit-plane x word) traversal of
- * popcount(plane_word & mask_word).  This module computes the
- * per-region weighted sums of that traversal with:
+ * popcount(plane_word & mask_word) for every activation column.  This
+ * module computes the per-(region, column) weighted sums of that
+ * traversal for up to kHnBatchChunk columns at once (a solo decode is
+ * a batch of one) with:
  *
  *  - a vectorised AND+POPCNT body: AVX-512 VPOPCNTQ (8 words per
  *    instruction) or an AVX2 nibble-LUT popcount (Mula's algorithm, 4
  *    words per step), selected once at runtime via
- *    __builtin_cpu_supports behind the HNLPU_SIMD compile-time gate; a
- *    portable std::popcount loop is always compiled and is the only
- *    body when HNLPU_SIMD=OFF or on non-x86 targets;
- *  - all-zero skipping at two granularities: whole bit planes
- *    (PackedPlanes::nonZeroPlaneMask, free at build time) and, in the
- *    vector bodies, all-zero plane-word blocks (one vector test before
- *    the AND+POPCNT) -- the bit-sparsity idea of Laconic /
+ *    __builtin_cpu_supports behind the HNLPU_SIMD compile-time gate.
+ *    The Portable tier has no body of its own: with it (always the
+ *    case when HNLPU_SIMD=OFF or on non-x86 targets)
+ *    HardwiredNeuron::computeSimdBatch runs computePackedBatch;
+ *  - column groups: per region and per group of up to four columns,
+ *    each mask vector is loaded once and ANDed into every column's
+ *    plane, the per-bit popcounts stay in vector lanes and fold into
+ *    per-column lane accumulators shifted by the plane's bit, and one
+ *    horizontal reduction per (region, column) replaces one per
+ *    (region, bit, column);
+ *  - all-zero plane skipping: a bit plane that is zero in every column
+ *    of a group (PackedPlanes::nonZeroPlaneMask, free at build time)
+ *    is never loaded -- the bit-sparsity idea of Laconic /
  *    DynamicStripes applied to the host emulation;
  *  - cache blocking: the word dimension is processed in fixed tiles so
  *    one tile of every region's mask stripe plus the touched planes
  *    fits in L1 even for very wide rows, instead of streaming each
  *    full stripe per (region, bit) pair.
  *
- *  - a multi-column body for the batched GEMM (hnRegionSumsBatch):
- *    per region and per group of up to four columns, each mask vector
- *    is loaded once and ANDed into every column's plane, the per-bit
- *    popcounts stay in vector lanes and fold into per-column lane
- *    accumulators shifted by the plane's bit, and one horizontal
- *    reduction per (region, column) replaces one per (region, bit,
- *    column).
- *
  * Bit-exactness is structural, not approximate: every per-(region,
  * bit, tile) count is an exact integer, integer addition is
- * associative, and zero planes/words contribute exactly 0 -- so the
- * region sums (and with them the neuron output and HnActivity
- * counters, which count logical wires regardless of skips) are
- * identical to computeSerial/computePacked.  tests/test_hn_kernel.cc
- * pins all three kernels against each other on every tier the host
- * supports (ScopedHnSimdLevel), and tests/test_serving.cc pins the
- * batched body against per-column GEMVs.
+ * associative, and zero planes contribute exactly 0 -- so the region
+ * sums (and with them the neuron output and HnActivity counters, which
+ * count logical wires regardless of skips) are identical to
+ * computeSerial/computePackedBatch.  tests/test_hn_kernel.cc pins the
+ * kernels against each other on every tier the host supports
+ * (ScopedHnSimdLevel), and tests/test_serving.cc pins batched columns
+ * against solo GEMVs.
  */
 
 #ifndef HNLPU_HN_HN_SIMD_HH
@@ -61,11 +61,10 @@ enum class HnSimdLevel { Portable, Avx2, Avx512 };
  * Minimum words per plane before the vector bodies pay off.  Each tile
  * call costs dispatch, tail masking and a horizontal reduction; below
  * ~two 512-bit iterations that fixed cost exceeds the popcount work
- * itself, so narrower rows take the Packed kernel's fused loop instead
- * (HardwiredNeuron::computeSimd / computeSimdBatch delegate,
- * hnRegionSums / hnRegionSumsBatch run their portable loops).  The
- * cutover only selects between exact-integer
- * loops, so results are bit-identical on both sides.
+ * itself, so narrower rows take computePackedBatch's fused loop instead
+ * (HardwiredNeuron::computeSimdBatch delegates).  The cutover only
+ * selects between exact-integer loops, so results are bit-identical on
+ * both sides.
  */
 inline constexpr std::size_t kHnSimdMinWords = 16;
 
@@ -89,7 +88,8 @@ std::vector<HnSimdLevel> hnSupportedSimdLevels();
  * hnSupportedSimdLevels(), for this object's lifetime; the previous
  * tier is restored on destruction.  The tier is process-wide, so only
  * construct one while no kernel is running on another thread.  This
- * lets an AVX-512 host execute the AVX2 and portable bodies too.
+ * lets an AVX-512 host execute the AVX2 body and the Portable
+ * fallback too.
  */
 class ScopedHnSimdLevel
 {
@@ -105,31 +105,18 @@ class ScopedHnSimdLevel
 };
 
 /**
- * Compute region_sums[r] = sum over bit planes of
- * (+-2^bit) * popcount(plane(bit) & mask stripe of regions[r]) for
- * every region, using the active SIMD tier.  Rows too narrow to
- * amortise the vector bodies' per-call overhead run the portable loop
- * regardless of tier (same exact integer sums, so still bit-identical).
- * @p mask_words is the
- * neuron's packed mask buffer (stripes located by
- * regions[r].wordOffset, each @p words_per_plane words, which must
- * equal planes.wordsPerPlane()).  @p region_sums must hold
- * @p region_count entries; it is fully overwritten.
- */
-void hnRegionSums(const PackedPlanes &planes,
-                  const std::uint64_t *mask_words,
-                  const RegionMask *regions, std::size_t region_count,
-                  std::size_t words_per_plane,
-                  std::int64_t *region_sums);
-
-/**
- * hnRegionSums for @p cols activation columns in one traversal of the
- * region masks: region_sums[r * cols + c] receives column c's sum for
- * regions[r], exactly the value hnRegionSums(*planes[c], ...) computes.
- * All planes must share one width and @p words_per_plane; @p cols must
- * be in [1, kHnBatchChunk].  Same tier dispatch and kHnSimdMinWords
- * cutover as hnRegionSums.  @p region_sums must hold
- * region_count * cols entries; it is fully overwritten.
+ * For @p cols activation columns in one traversal of the region masks,
+ * region_sums[r * cols + c] receives sum over bit planes of
+ * (+-2^bit) * popcount(planes[c]->plane(bit) & mask stripe of
+ * regions[r]), using the active SIMD tier.  @p mask_words is the
+ * neuron's packed mask buffer (stripes located by regions[r].wordOffset,
+ * each @p words_per_plane words).  The caller
+ * (HardwiredNeuron::computeSimdBatch) guarantees the batch contract:
+ * @p cols in [1, kHnBatchChunk], every column of one width and
+ * @p words_per_plane words.  The active tier must have a vector body
+ * (not Portable) and @p words_per_plane must be at least
+ * kHnSimdMinWords.  @p region_sums must hold region_count * cols
+ * entries; it is fully overwritten.
  */
 void hnRegionSumsBatch(const PackedPlanes *const *planes, std::size_t cols,
                        const std::uint64_t *mask_words,

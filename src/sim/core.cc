@@ -222,9 +222,11 @@ std::vector<Packet>
 Connection::abort()
 {
     std::vector<Packet> undelivered;
+    undelivered.reserve(txq_.size() + 1);
     if (haveInflight_)
         undelivered.push_back(inflight_);
-    undelivered.insert(undelivered.end(), txq_.begin(), txq_.end());
+    for (const Packet &p : txq_)
+        undelivered.push_back(p);
     txq_.clear();
     busy_ = false;
     haveInflight_ = false;

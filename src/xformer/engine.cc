@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "common/logging.hh"
 #include "obs/json.hh"
@@ -82,104 +83,10 @@ Engine::makeCache(std::size_t max_tokens_hint) const
 }
 
 Vec
-Engine::attention(const BlockWeights &block, const Vec &x_norm,
-                  std::size_t layer, KvCache &cache)
-{
-    const std::size_t head_dim = cfg_.headDim;
-    const std::size_t group = cfg_.gqaGroupSize();
-    const std::size_t pos = cache.length();
-    ThreadPool *pool = pool_.get();
-
-    Vec q_flat = block.wq.forward(x_norm, ctx_);
-    if (ctx_.lora) {
-        const Vec dq = ctx_.lora->wq[layer].delta(x_norm);
-        for (std::size_t i = 0; i < q_flat.size(); ++i)
-            q_flat[i] += dq[i];
-    }
-    Vec k_flat = block.wk.forward(x_norm, ctx_);
-    const Vec v_flat = block.wv.forward(x_norm, ctx_);
-
-    // Split queries into heads and apply RoPE; keys are rotated in
-    // place on the flat projection and land in paged block storage via
-    // appendFlat -- the decode hot path materialises no per-head K/V
-    // vectors.
-    std::vector<Vec> q_heads(cfg_.queryHeads);
-    for (std::size_t h = 0; h < cfg_.queryHeads; ++h) {
-        q_heads[h] = Vec(q_flat.begin() + h * head_dim,
-                         q_flat.begin() + (h + 1) * head_dim);
-        applyRope(q_heads[h], pos);
-    }
-    for (std::size_t h = 0; h < cfg_.kvHeads; ++h)
-        applyRope(k_flat.data() + h * head_dim, head_dim, pos);
-    cache.appendFlat(layer, k_flat, v_flat);
-
-    // Context length including the token just appended.  cache.length()
-    // only advances after the last layer, so derive from storage:
-    const std::size_t context = pos + 1;
-
-    // Per-head parallelism: every head reads the (now frozen) cache and
-    // writes its own disjoint attn_out slice, so the parallel result is
-    // bit-exactly the serial one.
-    const double inv_sqrt_d = 1.0 / std::sqrt(double(head_dim));
-    Vec attn_out(cfg_.queryHeads * head_dim, 0.0);
-    parallelFor(pool, cfg_.queryHeads,
-                [&](std::size_t begin, std::size_t end) {
-        for (std::size_t h = begin; h < end; ++h) {
-            const std::size_t kv_head = h / group;
-            Vec scores(context);
-            for (std::size_t t = 0; t < context; ++t) {
-                scores[t] =
-                    dot(q_heads[h], cache.key(layer, kv_head, t)) *
-                    inv_sqrt_d;
-            }
-            const Vec probs = softmax(scores);
-            for (std::size_t t = 0; t < context; ++t) {
-                const double *v = cache.value(layer, kv_head, t);
-                for (std::size_t d = 0; d < head_dim; ++d)
-                    attn_out[h * head_dim + d] += probs[t] * v[d];
-            }
-        }
-    });
-    Vec out = block.wo.forward(attn_out, ctx_);
-    if (ctx_.lora) {
-        const Vec d_o = ctx_.lora->wo[layer].delta(attn_out);
-        for (std::size_t i = 0; i < out.size(); ++i)
-            out[i] += d_o[i];
-    }
-    return out;
-}
-
-Vec
 Engine::forwardHidden(std::size_t token_id, KvCache &cache)
 {
-    hnlpu_assert(token_id < cfg_.vocabSize, "token id out of range");
-
-    Vec x = weights_.embedding.row(token_id);
-
-    obs::Tracer *const trace = tracerOf(ctx_);
-    for (std::size_t layer = 0; layer < cfg_.layerCount; ++layer) {
-        const BlockWeights &block = weights_.blocks[layer];
-        obs::ScopedSpan layer_span(trace, "engine", "engine.layer",
-                                   spanArg(trace, "layer", layer));
-
-        const Vec attn_in = rmsNorm(x, block.attnNormGain);
-        Vec attn;
-        {
-            obs::ScopedSpan span(trace, "engine", "engine.attention");
-            attn = attention(block, attn_in, layer, cache);
-        }
-        x = add(x, attn);
-
-        const Vec ffn_in = rmsNorm(x, block.ffnNormGain);
-        std::vector<std::size_t> selected;
-        const Vec ffn = block.ffn.forward(ffn_in, ctx_, &selected);
-        for (std::size_t e : selected)
-            stats_.expertHistogram[e]++;
-        x = add(x, ffn);
-    }
-
-    ++stats_.tokensProcessed;
-    return rmsNorm(x, weights_.finalNormGain);
+    return std::move(
+        forwardHiddenBatch({token_id}, {&cache}, {ctx_.lora}).front());
 }
 
 std::vector<Vec>
@@ -212,7 +119,8 @@ Engine::attentionBatch(const BlockWeights &block,
     // Per-sequence positions: each cache advances independently, so
     // RoPE and the causal context length are per column.  Keys are
     // rotated in place on the flat projections and appended straight
-    // into paged block storage (no per-head K/V vectors).
+    // into paged block storage -- the decode hot path materialises no
+    // per-head K/V vectors.
     std::vector<std::size_t> pos(batch);
     std::vector<std::vector<Vec>> q_heads(batch);
     for (std::size_t s = 0; s < batch; ++s) {
@@ -231,7 +139,10 @@ Engine::attentionBatch(const BlockWeights &block,
 
     // Flatten (sequence, head) across the pool: every pair reads its
     // own (now frozen) cache and writes its own disjoint attn_out
-    // slice, so each sequence comes out bit-exactly as it would alone.
+    // slice, so each sequence comes out bit-exactly as it would alone
+    // and as it would serially.  The context length includes the token
+    // just appended (cache.length() only advances after the last
+    // layer).
     const double inv_sqrt_d = 1.0 / std::sqrt(double(head_dim));
     std::vector<Vec> attn_out(batch, Vec(cfg_.queryHeads * head_dim,
                                          0.0));
@@ -317,9 +228,9 @@ Engine::forwardHiddenBatch(const std::vector<std::size_t> &tokens,
         std::vector<Vec> ffn_in(batch);
         for (std::size_t s = 0; s < batch; ++s)
             ffn_in[s] = rmsNorm(x[s], block.ffnNormGain);
-        std::vector<std::vector<std::size_t>> selected;
+        std::vector<std::vector<std::size_t>> selected(batch);
         const std::vector<Vec> ffn =
-            block.ffn.forwardBatch(ffn_in, ctx_, &selected);
+            block.ffn.forwardBatch(ffn_in, ctx_, selected);
         for (std::size_t s = 0; s < batch; ++s) {
             for (std::size_t e : selected[s])
                 stats_.expertHistogram[e]++;
@@ -390,9 +301,7 @@ Engine::forwardTokenBatch(const std::vector<std::size_t> &tokens,
 Vec
 Engine::forwardToken(std::size_t token_id, KvCache &cache)
 {
-    const Vec final_norm = forwardHidden(token_id, cache);
-    obs::ScopedSpan span(tracerOf(ctx_), "engine", "engine.unembed");
-    return weights_.unembedding.forward(final_norm, ctx_);
+    return std::move(forwardTokenBatch({token_id}, {&cache}).front());
 }
 
 void

@@ -105,7 +105,8 @@ class Engine
     Engine &operator=(const Engine &) = delete;
 
     /**
-     * Run one token through the model.
+     * Run one token through the model: forwardTokenBatch of one
+     * sequence with the engine-default LoRA adapter.
      * @param token_id input token
      * @param cache per-sequence KV cache, appended in place
      * @return unembedding logits (vocab-sized)
@@ -116,7 +117,8 @@ class Engine
      * Run one token from each of several sequences through the model as
      * a single batched pass: every weight-bearing projection traverses
      * its weights once for the whole batch (Linear::forwardBatch), and
-     * attention flattens (sequence, head) pairs across the pool.
+     * attention flattens (sequence, head) pairs across the pool.  This
+     * is the only decode body; a single sequence is a batch of one.
      * Sequence s is bit-identical to forwardToken(tokens[s], *caches[s])
      * run alone, and stats accumulate the exact sum of the per-sequence
      * single-token runs (tests/test_serving.cc pins both).
@@ -190,17 +192,6 @@ class Engine
     const LoraSet *defaultLora() const { return ctx_.lora; }
 
     /**
-     * @deprecated Engine-global attachment predates the multi-tenant
-     * LoraRegistry; it is now a shim over the engine-default adapter
-     * (exactly setLora()).  Serving front ends register tenants in
-     * their LoraRegistry instead (DESIGN.md "Experiment driver &
-     * multi-tenant LoRA").
-     */
-    [[deprecated("use setLora(), or a serving LoraRegistry for "
-                 "multi-tenant adapters")]]
-    void attachLora(const LoraSet *lora) { setLora(lora); }
-
-    /**
      * Sequence scoring mode (paper Section 8 (3)): the total
      * log-probability of tokens[1..] under teacher forcing.
      */
@@ -226,21 +217,20 @@ class Engine
     const ExecContext &execContext() const { return ctx_; }
 
   private:
-    /** GQA attention for one block at the cache's current position. */
-    Vec attention(const BlockWeights &block, const Vec &x_norm,
-                  std::size_t layer, KvCache &cache);
-
-    /** Shared body: run one token, return the final-norm hidden. */
+    /**
+     * forwardHiddenBatch of one sequence with the engine-default LoRA
+     * adapter: run one token, return the final-norm hidden.
+     */
     Vec forwardHidden(std::size_t token_id, KvCache &cache);
 
-    /** Batched attention: one sequence per column, per-seq positions
-     *  and (resolved, possibly per-tenant) LoRA adapters. */
+    /** GQA attention: one sequence per column, per-seq positions and
+     *  (resolved, possibly per-tenant) LoRA adapters. */
     std::vector<Vec> attentionBatch(
         const BlockWeights &block, const std::vector<Vec> &x_norms,
         std::size_t layer, const std::vector<KvCache *> &caches,
         const std::vector<const LoraSet *> &loras);
 
-    /** Batched body: one token per sequence, final-norm hiddens out. */
+    /** Decode body: one token per sequence, final-norm hiddens out. */
     std::vector<Vec> forwardHiddenBatch(
         const std::vector<std::size_t> &tokens,
         const std::vector<KvCache *> &caches,

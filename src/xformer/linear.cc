@@ -1,6 +1,7 @@
 #include "xformer/linear.hh"
 
 #include <cmath>
+#include <utility>
 
 #include "common/logging.hh"
 #include "common/rng.hh"
@@ -67,36 +68,7 @@ Linear::hardwired() const
 Vec
 Linear::forward(const Vec &x, const ExecContext &ctx) const
 {
-    hnlpu_assert(x.size() == inDim_, "linear input size mismatch: ",
-                 x.size(), " vs ", inDim_);
-    if (ctx.path == ExecPath::Hardwired) {
-        return hardwired().gemvReal(x, ctx.activationBits, ctx.activity,
-                                    ctx.pool, ctx.kernel, ctx.arena);
-    }
-
-    Vec y(outDim_, 0.0);
-    const auto &values = fp4ValueTable();
-    // A reference row is inDim_ multiply-adds, so small projections
-    // (attention heads, routers) are microsecond-scale jobs; the grain
-    // keeps each chunk worth at least ~16k multiply-adds so the pool
-    // never wakes a worker for less work than the wake costs -- this
-    // is what un-regressed the reference path past 2 threads.
-    const std::size_t grain =
-        std::max<std::size_t>(1, std::size_t(16384) / inDim_);
-    parallelFor(ctx.pool, outDim_,
-                [&](std::size_t begin, std::size_t end) {
-        for (std::size_t r = begin; r < end; ++r) {
-            double acc = 0.0;
-            const Fp4 *row = weights_.data() + r * inDim_;
-            for (std::size_t c = 0; c < inDim_; ++c)
-                acc += values[row[c].code()] * x[c];
-            y[r] = acc;
-        }
-    }, grain);
-    // Dead neurons read as exactly 0.0, matching the hardwired mask.
-    for (std::uint32_t r : deadRows_)
-        y[r] = 0.0;
-    return y;
+    return std::move(forwardBatch({x}, ctx).front());
 }
 
 std::vector<Vec>
@@ -111,11 +83,6 @@ Linear::forwardBatch(const std::vector<Vec> &xs,
                      "batch column ", b, " input size mismatch: ",
                      xs[b].size(), " vs ", inDim_);
     }
-    if (batch == 1) {
-        std::vector<Vec> ys(1);
-        ys[0] = forward(xs[0], ctx);
-        return ys;
-    }
     if (ctx.path == ExecPath::Hardwired) {
         return hardwired().gemmReal(xs, ctx.activationBits, ctx.activity,
                                     ctx.pool, ctx.kernel, ctx.arena);
@@ -123,7 +90,12 @@ Linear::forwardBatch(const std::vector<Vec> &xs,
 
     std::vector<Vec> ys(batch, Vec(outDim_, 0.0));
     const auto &values = fp4ValueTable();
-    // Same work-size-aware grain as forward(), per column of the batch.
+    // A reference row is inDim_ multiply-adds per column, so small
+    // projections (attention heads, routers) are microsecond-scale
+    // jobs; the grain keeps each chunk worth at least ~16k
+    // multiply-adds so the pool never wakes a worker for less work
+    // than the wake costs -- this is what un-regressed the reference
+    // path past 2 threads.
     const std::size_t grain = std::max<std::size_t>(
         1, std::size_t(16384) / (inDim_ * batch));
     parallelFor(ctx.pool, outDim_,
@@ -133,8 +105,9 @@ Linear::forwardBatch(const std::vector<Vec> &xs,
             std::size_t b = 0;
             // Four-column unroll: each weight is dequantised once and
             // multiplied into four independent accumulator chains.
-            // Column b's multiply/add sequence is unchanged from
-            // forward(), so the doubles come out bit-identical.
+            // Every column runs the same multiply/add sequence in the
+            // unroll and in the tail, so a column's doubles do not
+            // depend on the batch it rides in.
             for (; b + 4 <= batch; b += 4) {
                 const double *x0 = xs[b + 0].data();
                 const double *x1 = xs[b + 1].data();
@@ -162,6 +135,7 @@ Linear::forwardBatch(const std::vector<Vec> &xs,
             }
         }
     }, grain);
+    // Dead neurons read as exactly 0.0, matching the hardwired mask.
     for (std::uint32_t r : deadRows_) {
         for (std::size_t b = 0; b < batch; ++b)
             ys[b][r] = 0.0;

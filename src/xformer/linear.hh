@@ -90,24 +90,23 @@ class Linear
     static Linear random(std::size_t out_dim, std::size_t in_dim,
                          std::uint64_t seed);
 
-    /**
-     * y = W x on the path selected by @p ctx.  With ctx.pool set,
-     * output rows are partitioned into disjoint contiguous chunks, so
-     * the parallel result is bit-exactly the serial one; ctx.kernel
-     * Packed (default) and Scalar are likewise bit-identical in both
-     * outputs and activity counters.
-     */
+    /** y = W x: forwardBatch of one column. */
     Vec forward(const Vec &x, const ExecContext &ctx) const;
 
     /**
-     * Batched y_b = W x_b: one weight-side traversal serves every
-     * input column (HnArray::gemmSerial on the hardwired path; on the
-     * reference path each weight row is loaded once and multiplied
-     * into per-column accumulators).  Column b is bit-identical to
-     * forward(xs[b], ctx) on both paths -- the batched engine and the
-     * serving layer rely on this to keep batched decode bit-exact with
-     * sequential decode (tests/test_serving.cc).  ctx.activity
-     * accumulates the exact sum of per-column counters.
+     * Batched y_b = W x_b on the path selected by @p ctx: one
+     * weight-side traversal serves every input column
+     * (HnArray::gemmReal on the hardwired path; on the reference path
+     * each weight row is loaded once and multiplied into per-column
+     * accumulators).  Column b is bit-identical to running it alone
+     * (a batch of one) on both paths -- the serving layer relies on
+     * this to keep batched decode bit-exact with sequential decode
+     * (tests/test_serving.cc).  With ctx.pool set, output rows are
+     * partitioned into disjoint contiguous chunks, so the parallel
+     * result is bit-exactly the serial one; ctx.kernel Packed
+     * (default), Simd and Scalar are likewise bit-identical in both
+     * outputs and activity counters.  ctx.activity accumulates the
+     * exact sum of per-column counters.
      */
     std::vector<Vec> forwardBatch(const std::vector<Vec> &xs,
                                   const ExecContext &ctx) const;

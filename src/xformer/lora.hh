@@ -92,7 +92,7 @@ struct LoraSet
  * serves the base model.  Tenant 0 is always known: it is the default
  * tenant the legacy single-tenant entry points map onto, and resolving
  * it without an explicit registration falls back to the caller-supplied
- * default adapter (the engine's attachLora()/setLora() state), which is
+ * default adapter (the engine's setLora() state), which is
  * what keeps pre-tenant call sites bit-identical.
  */
 class LoraRegistry

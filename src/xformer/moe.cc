@@ -1,5 +1,6 @@
 #include "xformer/moe.hh"
 
+#include <algorithm>
 #include <utility>
 
 #include "common/logging.hh"
@@ -76,82 +77,28 @@ Vec
 MoeLayer::forward(const Vec &x_norm, const ExecContext &ctx,
                   std::vector<std::size_t> *selected) const
 {
-    obs::Tracer *const trace = tracerOf(ctx);
-    std::vector<std::size_t> chosen;
-    Vec gate_weights;
-    {
-        obs::ScopedSpan span(trace, "moe", "moe.route");
-        if (isDense_ || experts_.size() == 1) {
-            chosen = {0};
-            gate_weights = {1.0};
-        } else {
-            // The router always runs in reference precision: it is tiny
-            // (0.01% of weights) and replicated on every chip, and its
-            // argmax ordering must be stable across paths for the
-            // equivalence tests to be meaningful.
-            const Vec logits = router_.forward(
-                x_norm, ExecContext{ExecPath::Reference});
-            chosen = topK(logits, activeExperts_);
-            Vec selected_logits(chosen.size());
-            for (std::size_t i = 0; i < chosen.size(); ++i)
-                selected_logits[i] = logits[chosen[i]];
-            gate_weights = softmax(selected_logits);
-        }
-    }
-    if (selected)
-        *selected = chosen;
-
-    // Each chosen expert evaluates independently into its own buffer
-    // (possibly on different pool workers); the gate-weighted combine
-    // below runs serially in routing order, so the floating-point
-    // accumulation order -- and hence the result -- matches the serial
-    // execution exactly.
-    const ExecContext sub = expertContext(ctx);
-    std::vector<Vec> expert_outs(chosen.size());
-    {
-        obs::ScopedSpan span(trace, "moe", "moe.experts");
-        parallelFor(ctx.pool, chosen.size(),
-                    [&](std::size_t begin, std::size_t end) {
-            for (std::size_t i = begin; i < end; ++i) {
-                const Expert &ex = experts_[chosen[i]];
-                const Vec up = ex.up.forward(x_norm, sub);
-                const Vec gate = ex.gate.forward(x_norm, sub);
-                const Vec activated = swiGlu(gate, up);
-                expert_outs[i] = ex.down.forward(activated, sub);
-            }
-        });
-    }
-
-    Vec out(experts_[0].down.outDim(), 0.0);
-    for (std::size_t i = 0; i < chosen.size(); ++i) {
-        for (std::size_t d = 0; d < out.size(); ++d)
-            out[d] += gate_weights[i] * expert_outs[i][d];
-    }
-    return out;
+    return std::move(
+        forwardBatch({x_norm}, ctx, {selected, selected ? 1u : 0u})
+            .front());
 }
 
 std::vector<Vec>
 MoeLayer::forwardBatch(
     const std::vector<Vec> &xs, const ExecContext &ctx,
-    std::vector<std::vector<std::size_t>> *selected) const
+    std::span<std::vector<std::size_t>> selected) const
 {
     const std::size_t batch = xs.size();
-    if (selected)
-        selected->assign(batch, {});
+    hnlpu_assert(selected.empty() || selected.size() == batch,
+                 "selected holds ", selected.size(), " entries for ",
+                 batch, " tokens");
     if (batch == 0)
         return {};
-    if (batch == 1) {
-        std::vector<Vec> out(1);
-        out[0] =
-            forward(xs[0], ctx, selected ? &(*selected)[0] : nullptr);
-        return out;
-    }
 
     obs::Tracer *const trace = tracerOf(ctx);
 
-    // Route every token independently; the batched router column is
-    // bit-identical to the single-token router call, so top-k picks
-    // and gate weights match forward() exactly.
+    // Route every token independently; a router column does not depend
+    // on the batch it rides in, so top-k picks and gate weights are
+    // those of a solo token.
     std::vector<std::vector<std::size_t>> chosen(batch);
     std::vector<Vec> gates(batch);
     {
@@ -162,6 +109,10 @@ MoeLayer::forwardBatch(
                 gates[t] = {1.0};
             }
         } else {
+            // The router always runs in reference precision: it is
+            // tiny (0.01% of weights) and replicated on every chip,
+            // and its argmax ordering must be stable across paths for
+            // the equivalence tests to be meaningful.
             const std::vector<Vec> logits = router_.forwardBatch(
                 xs, ExecContext{ExecPath::Reference});
             for (std::size_t t = 0; t < batch; ++t) {
@@ -173,8 +124,8 @@ MoeLayer::forwardBatch(
             }
         }
     }
-    if (selected)
-        *selected = chosen;
+    std::copy(chosen.begin(), chosen.begin() + selected.size(),
+              selected.begin());
 
     // Group (token, routing position) pairs by expert so each chosen
     // expert's projections traverse their weights once for every token
@@ -193,9 +144,9 @@ MoeLayer::forwardBatch(
 
     // expert_outs[t][i] holds expert chosen[t][i]'s output for token t.
     // Groups fill disjoint slots, so they may run on pool workers; the
-    // combine below still walks each token's routing order serially,
-    // keeping the accumulation order -- and the doubles -- identical to
-    // per-token forward().
+    // combine below walks each token's routing order serially, so the
+    // floating-point accumulation order -- and the doubles -- do not
+    // depend on the batch or the pool.
     std::vector<std::vector<Vec>> expert_outs(batch);
     for (std::size_t t = 0; t < batch; ++t)
         expert_outs[t].resize(chosen[t].size());

@@ -12,6 +12,7 @@
 #ifndef HNLPU_XFORMER_MOE_HH
 #define HNLPU_XFORMER_MOE_HH
 
+#include <span>
 #include <vector>
 
 #include "xformer/linear.hh"
@@ -44,31 +45,30 @@ class MoeLayer
     static MoeLayer dense(Expert expert);
 
     /**
-     * Forward the normalised hidden state under @p ctx.  With ctx.pool
-     * set the chosen experts evaluate in parallel into private buffers,
-     * then combine serially in routing order, so the result is
-     * bit-exact vs serial.  ctx.kernel/ctx.arena drive the expert
-     * projections; the router always runs in reference float.  When
-     * ctx.sink carries a tracer, "moe.route" / "moe.experts" spans are
-     * emitted (cat "moe").
+     * forwardBatch of one token.
      * @param selected optional out-param for the chosen expert indices
      */
     Vec forward(const Vec &x_norm, const ExecContext &ctx,
                 std::vector<std::size_t> *selected = nullptr) const;
 
     /**
-     * Batched forward: every token routes independently (batched
-     * reference router, per-token top-k), then tokens that chose the
-     * same expert are grouped so that expert's up/gate/down
-     * projections traverse their weights once for the whole group
-     * (Linear::forwardBatch).  Token t's output is bit-identical to
-     * forward(xs[t], ctx): per-column projection exactness plus a
-     * combine that still runs in each token's own routing order.
-     * @param selected optional per-token chosen expert indices
+     * Forward the normalised hidden states @p xs under @p ctx: every
+     * token routes independently (reference-precision router, per-token
+     * top-k), then tokens that chose the same expert are grouped so
+     * that expert's up/gate/down projections traverse their weights
+     * once for the whole group (Linear::forwardBatch).  With ctx.pool
+     * set the expert groups evaluate in parallel into private buffers,
+     * then each token combines serially in its own routing order, so
+     * token t's output is bit-identical to running it alone (a batch
+     * of one) and to the serial execution.  ctx.kernel/ctx.arena drive
+     * the expert projections.  When ctx.sink carries a tracer,
+     * "moe.route" / "moe.experts" spans are emitted (cat "moe").
+     * @param selected empty, or one entry per token that receives the
+     *        token's chosen expert indices
      */
     std::vector<Vec> forwardBatch(
         const std::vector<Vec> &xs, const ExecContext &ctx,
-        std::vector<std::vector<std::size_t>> *selected = nullptr) const;
+        std::span<std::vector<std::size_t>> selected = {}) const;
 
     std::size_t expertCount() const { return experts_.size(); }
     std::size_t activeExperts() const { return activeExperts_; }

@@ -156,8 +156,9 @@ TEST(FaultLinear, DeadRowsReadZeroOnBothPaths)
         for (std::uint32_t r : dead)
             EXPECT_EQ(y_faulty[r], 0.0);
         for (std::size_t r = 0; r < 16; ++r) {
-            if (std::find(dead.begin(), dead.end(), r) == dead.end())
+            if (std::find(dead.begin(), dead.end(), r) == dead.end()) {
                 EXPECT_EQ(y_faulty[r], y_clean[r]) << "row " << r;
+            }
         }
     }
 }

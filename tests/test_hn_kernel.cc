@@ -12,13 +12,15 @@
  * and end-to-end engine equality under ExecOptions::kernel.  The Simd
  * checks on rows above the kHnSimdMinWords cutover run once per SIMD
  * tier the host supports (ScopedHnSimdLevel), so an AVX-512 host
- * executes the AVX2 and portable bodies too.
+ * executes the AVX2 body and the Portable fallback (the Packed batch
+ * kernel) too.  Single-column checks call the batch kernels with one
+ * column: a solo evaluation is a batch of one.
  *
  * Registered under ctest label `kernel`; scripts/tier1.sh additionally
  * runs it under ThreadSanitizer to prove the per-GEMV PackedPlanes is
  * shared strictly read-only across row workers and the arena's atomic
  * slot handoff is race-free, and rebuilds it with -DHNLPU_SIMD=OFF to
- * keep the portable Simd fallback honest.
+ * keep the Portable Simd fallback honest.
  */
 
 #include <gtest/gtest.h>
@@ -84,6 +86,28 @@ forEachSimdTier(Body body)
         SCOPED_TRACE(hnSimdLevelName());
         body();
     }
+}
+
+/** computePackedBatch of the single column @p planes. */
+std::int64_t
+packedOne(const HardwiredNeuron &neuron, const PackedPlanes &planes,
+          HnActivity *activity)
+{
+    const PackedPlanes *column = &planes;
+    std::int64_t out = 0;
+    neuron.computePackedBatch(&column, 1, &out, activity);
+    return out;
+}
+
+/** computeSimdBatch of the single column @p planes. */
+std::int64_t
+simdOne(const HardwiredNeuron &neuron, const PackedPlanes &planes,
+        HnActivity *activity)
+{
+    const PackedPlanes *column = &planes;
+    std::int64_t out = 0;
+    neuron.computeSimdBatch(&column, 1, &out, activity);
+    return out;
 }
 
 // -- SIMD tier override ---------------------------------------------------
@@ -206,23 +230,24 @@ TEST(PackedKernel, NeuronMatchesSerialAcrossWidths)
     ASSERT_TRUE(topo.has_value());
     const HardwiredNeuron neuron(std::move(*topo));
 
-    for (unsigned width : {4u, 8u, 16u}) {
-        const auto acts = randomActivations(cols, width, width);
-        HnActivity serial_act, packed_act, simd_act;
-        const std::int64_t serial =
-            neuron.computeSerial(acts, width, &serial_act);
-        PackedPlanes planes;
-        planes.build(acts, width);
-        const std::int64_t packed =
-            neuron.computePacked(planes, &packed_act);
-        const std::int64_t simd =
-            neuron.computeSimd(planes, &simd_act);
-        EXPECT_EQ(packed, serial) << "width " << width;
-        EXPECT_EQ(simd, serial) << "width " << width;
-        EXPECT_EQ(packed, neuron.computeReference(acts));
-        expectActivityEq(packed_act, serial_act);
-        expectActivityEq(simd_act, serial_act);
-    }
+    forEachSimdTier([&] {
+        for (unsigned width : {4u, 8u, 16u}) {
+            const auto acts = randomActivations(cols, width, width);
+            HnActivity serial_act, packed_act, simd_act;
+            const std::int64_t serial =
+                neuron.computeSerial(acts, width, &serial_act);
+            PackedPlanes planes;
+            planes.build(acts, width);
+            const std::int64_t packed =
+                packedOne(neuron, planes, &packed_act);
+            const std::int64_t simd = simdOne(neuron, planes, &simd_act);
+            EXPECT_EQ(packed, serial) << "width " << width;
+            EXPECT_EQ(simd, serial) << "width " << width;
+            EXPECT_EQ(packed, neuron.computeReference(acts));
+            expectActivityEq(packed_act, serial_act);
+            expectActivityEq(simd_act, serial_act);
+        }
+    });
 }
 
 TEST(SimdKernel, AllZeroAndSparseHighPlanesStayBitExact)
@@ -254,7 +279,7 @@ TEST(SimdKernel, AllZeroAndSparseHighPlanesStayBitExact)
                     PackedPlanes planes;
                     planes.build(acts, width);
                     const std::int64_t simd =
-                        neuron.computeSimd(planes, &simd_act);
+                        simdOne(neuron, planes, &simd_act);
                     EXPECT_EQ(simd, serial)
                         << "cols " << cols << " width " << width;
                     EXPECT_EQ(simd, neuron.computeReference(acts));
@@ -284,11 +309,11 @@ TEST(SimdKernel, WideRowCrossesCacheTileBoundary)
     PackedPlanes planes;
     planes.build(acts, 8);
     HnActivity packed_act;
-    const std::int64_t packed = neuron.computePacked(planes, &packed_act);
+    const std::int64_t packed = packedOne(neuron, planes, &packed_act);
     EXPECT_EQ(packed, neuron.computeReference(acts));
     forEachSimdTier([&] {
         HnActivity simd_act;
-        EXPECT_EQ(neuron.computeSimd(planes, &simd_act), packed);
+        EXPECT_EQ(simdOne(neuron, planes, &simd_act), packed);
         expectActivityEq(simd_act, packed_act);
     });
 }
@@ -444,7 +469,8 @@ TEST(ScratchArena, LeaseReturnsScratchDuringStackUnwinding)
     HnScratchArena arena;
     try {
         HnScratchLease lease(&arena);
-        lease.get().planes.ensure({1, 2, 3}, 8);
+        lease.get().batchPlanes.resize(1);
+        lease.get().batchPlanes[0].ensure({1, 2, 3}, 8);
         throw std::runtime_error("simulated build failure");
     } catch (const std::runtime_error &) {
     }
@@ -455,7 +481,9 @@ TEST(ScratchArena, LeaseReturnsScratchDuringStackUnwinding)
     // key over fresh planes.
     HnScratchLease again(&arena);
     EXPECT_EQ(arena.idleCount(), 0u);
-    const PackedPlanes &planes = again.get().planes.ensure({4, 5}, 8);
+    ASSERT_EQ(again.get().batchPlanes.size(), 1u);
+    const PackedPlanes &planes =
+        again.get().batchPlanes[0].ensure({4, 5}, 8);
     EXPECT_EQ(planes.laneCount(), 2u);
 }
 
@@ -477,7 +505,9 @@ TEST(ScratchArena, ConcurrentLeasesNeverLoseOrDoubleHandOutScratches)
                 HnScratchLease lease(&arena);
                 // Exclusive ownership: unsynchronised writes are only
                 // safe if no other thread holds this scratch.
-                lease.get().planes.ensure(
+                auto &columns = lease.get().batchPlanes;
+                columns.resize(1);
+                columns[0].ensure(
                     {std::int64_t(t), std::int64_t(round % 100)}, 8);
             }
         });
@@ -538,7 +568,8 @@ TEST(CachedPlanes, GemvWithUnchangedColumnReusesPlanes)
     // The recycled scratch performed exactly one serialisation across
     // all three GEMVs.
     HnScratchLease lease(&arena);
-    EXPECT_EQ(lease.get().planes.buildCount(), 1u);
+    ASSERT_EQ(lease.get().batchPlanes.size(), 1u);
+    EXPECT_EQ(lease.get().batchPlanes[0].buildCount(), 1u);
 }
 
 // -- engine-level equality ------------------------------------------------

@@ -1,7 +1,7 @@
 /**
  * @file
  * Observability subsystem tests: JsonWriter structure/escaping (every
- * document is parsed back by a mini in-test JSON parser, not just
+ * document is parsed back by obs::JsonReader, not just
  * substring-checked), MetricsRegistry thread-safety under the pool,
  * Chrome-trace parse-back, and the core invariant that observation is
  * pure: a traced serving run decodes bit-identical tokens and a traced
@@ -15,7 +15,6 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <cstdlib>
 #include <set>
 #include <string>
 #include <vector>
@@ -24,6 +23,7 @@
 #include "model/model_zoo.hh"
 #include "noc/fabric.hh"
 #include "obs/json.hh"
+#include "obs/json_reader.hh"
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
 #include "pipeline/pipeline_sim.hh"
@@ -35,210 +35,17 @@
 namespace hnlpu {
 namespace {
 
-// -- mini JSON parser ------------------------------------------------------
-//
-// Deliberately independent of JsonWriter: the tests verify emitted
-// documents against RFC 8259 as read by different code, not against the
-// writer's own idea of itself.
-
-struct JValue
+/**
+ * Parse an emitted document with obs::JsonReader: the tests verify
+ * emitted documents against RFC 8259 as read by different code, not
+ * against the writer's own idea of itself.  A malformed document is
+ * fatal with its line and column.
+ */
+obs::JsonValue
+parseJson(const std::string &text)
 {
-    enum class Type { Null, Bool, Number, String, Array, Object };
-
-    Type type = Type::Null;
-    bool boolean = false;
-    double number = 0.0;
-    std::string str;
-    std::vector<JValue> items;
-    std::vector<std::pair<std::string, JValue>> members;
-
-    const JValue *
-    find(const std::string &key) const
-    {
-        for (const auto &[k, v] : members) {
-            if (k == key)
-                return &v;
-        }
-        return nullptr;
-    }
-
-    /** Member lookup that fails the test (returning a null) on miss. */
-    const JValue &
-    at(const std::string &key) const
-    {
-        static const JValue null_value;
-        const JValue *v = find(key);
-        EXPECT_NE(v, nullptr) << "missing key \"" << key << "\"";
-        return v ? *v : null_value;
-    }
-};
-
-class MiniJsonParser
-{
-  public:
-    static JValue
-    parse(const std::string &text)
-    {
-        MiniJsonParser p(text);
-        JValue v = p.parseValue();
-        p.skipWs();
-        EXPECT_TRUE(p.ok_) << "parse error at offset " << p.pos_;
-        EXPECT_EQ(p.pos_, text.size()) << "trailing garbage";
-        return v;
-    }
-
-  private:
-    explicit MiniJsonParser(const std::string &text) : text_(text) {}
-
-    void
-    skipWs()
-    {
-        while (pos_ < text_.size() &&
-               (text_[pos_] == ' ' || text_[pos_] == '\t' ||
-                text_[pos_] == '\n' || text_[pos_] == '\r'))
-            ++pos_;
-    }
-
-    bool
-    consume(char c)
-    {
-        skipWs();
-        if (pos_ < text_.size() && text_[pos_] == c) {
-            ++pos_;
-            return true;
-        }
-        return false;
-    }
-
-    bool
-    literal(const char *word)
-    {
-        const std::size_t len = std::string(word).size();
-        if (text_.compare(pos_, len, word) == 0) {
-            pos_ += len;
-            return true;
-        }
-        ok_ = false;
-        return false;
-    }
-
-    std::string
-    parseString()
-    {
-        std::string out;
-        if (!consume('"')) {
-            ok_ = false;
-            return out;
-        }
-        while (pos_ < text_.size() && text_[pos_] != '"') {
-            char c = text_[pos_++];
-            if (c != '\\') {
-                out.push_back(c);
-                continue;
-            }
-            if (pos_ >= text_.size()) {
-                ok_ = false;
-                return out;
-            }
-            const char esc = text_[pos_++];
-            switch (esc) {
-              case '"': out.push_back('"'); break;
-              case '\\': out.push_back('\\'); break;
-              case '/': out.push_back('/'); break;
-              case 'b': out.push_back('\b'); break;
-              case 'f': out.push_back('\f'); break;
-              case 'n': out.push_back('\n'); break;
-              case 'r': out.push_back('\r'); break;
-              case 't': out.push_back('\t'); break;
-              case 'u': {
-                if (pos_ + 4 > text_.size()) {
-                    ok_ = false;
-                    return out;
-                }
-                const std::string hex = text_.substr(pos_, 4);
-                pos_ += 4;
-                const long cp = std::strtol(hex.c_str(), nullptr, 16);
-                // The writer only \u-escapes control characters, all
-                // below U+0100; anything larger is a parser-test bug.
-                EXPECT_LT(cp, 0x100) << "unexpected \\u escape";
-                out.push_back(char(cp));
-                break;
-              }
-              default: ok_ = false; return out;
-            }
-        }
-        if (pos_ >= text_.size() || text_[pos_] != '"')
-            ok_ = false;
-        else
-            ++pos_;
-        return out;
-    }
-
-    JValue
-    parseValue()
-    {
-        skipWs();
-        JValue v;
-        if (pos_ >= text_.size()) {
-            ok_ = false;
-            return v;
-        }
-        const char c = text_[pos_];
-        if (c == '{') {
-            ++pos_;
-            v.type = JValue::Type::Object;
-            skipWs();
-            if (consume('}'))
-                return v;
-            do {
-                std::string key = parseString();
-                if (!ok_ || !consume(':')) {
-                    ok_ = false;
-                    return v;
-                }
-                v.members.emplace_back(std::move(key), parseValue());
-            } while (ok_ && consume(','));
-            if (!consume('}'))
-                ok_ = false;
-        } else if (c == '[') {
-            ++pos_;
-            v.type = JValue::Type::Array;
-            skipWs();
-            if (consume(']'))
-                return v;
-            do {
-                v.items.push_back(parseValue());
-            } while (ok_ && consume(','));
-            if (!consume(']'))
-                ok_ = false;
-        } else if (c == '"') {
-            v.type = JValue::Type::String;
-            v.str = parseString();
-        } else if (c == 't') {
-            v.type = JValue::Type::Bool;
-            v.boolean = true;
-            literal("true");
-        } else if (c == 'f') {
-            v.type = JValue::Type::Bool;
-            literal("false");
-        } else if (c == 'n') {
-            literal("null");
-        } else {
-            v.type = JValue::Type::Number;
-            const char *start = text_.c_str() + pos_;
-            char *end = nullptr;
-            v.number = std::strtod(start, &end);
-            if (end == start)
-                ok_ = false;
-            pos_ += std::size_t(end - start);
-        }
-        return v;
-    }
-
-    const std::string &text_;
-    std::size_t pos_ = 0;
-    bool ok_ = true;
-};
+    return obs::JsonReader::parseOrDie(text, "emitted document");
+}
 
 // -- JsonWriter ------------------------------------------------------------
 
@@ -261,21 +68,21 @@ TEST(JsonWriter, EscapingAndNestingRoundTrip)
     w.endArray();
     w.endObject();
 
-    const JValue doc = MiniJsonParser::parse(w.str());
-    ASSERT_EQ(doc.type, JValue::Type::Object);
-    EXPECT_EQ(doc.at("plain").str, "hello");
-    EXPECT_EQ(doc.at("tricky").str, "q\" b\\ nl\n tab\t bell\x07 end");
-    EXPECT_EQ(doc.at("count").number, 42.0);
-    EXPECT_EQ(doc.at("negative").number, -7.0);
-    EXPECT_EQ(doc.at("big").number, std::pow(2.0, 63));
-    EXPECT_EQ(doc.at("ratio").number, 0.25);
-    EXPECT_TRUE(doc.at("flag").boolean);
-    EXPECT_EQ(doc.at("nan_is_null").type, JValue::Type::Null);
-    const JValue &nested = doc.at("nested");
-    ASSERT_EQ(nested.type, JValue::Type::Array);
-    ASSERT_EQ(nested.items.size(), 4u);
-    EXPECT_EQ(nested.items[2].at("deep").str, "yes");
-    EXPECT_TRUE(nested.items[3].items.empty());
+    const obs::JsonValue doc = parseJson(w.str());
+    ASSERT_TRUE(doc.isObject());
+    EXPECT_EQ(doc["plain"].asString(), "hello");
+    EXPECT_EQ(doc["tricky"].asString(), "q\" b\\ nl\n tab\t bell\x07 end");
+    EXPECT_EQ(doc["count"].asDouble(), 42.0);
+    EXPECT_EQ(doc["negative"].asDouble(), -7.0);
+    EXPECT_EQ(doc["big"].asDouble(), std::pow(2.0, 63));
+    EXPECT_EQ(doc["ratio"].asDouble(), 0.25);
+    EXPECT_TRUE(doc["flag"].asBool());
+    EXPECT_TRUE(doc["nan_is_null"].isNull());
+    const obs::JsonValue &nested = doc["nested"];
+    ASSERT_TRUE(nested.isArray());
+    ASSERT_EQ(nested.size(), 4u);
+    EXPECT_EQ(nested.at(2)["deep"].asString(), "yes");
+    EXPECT_EQ(nested.at(3).size(), 0u);
 }
 
 TEST(JsonWriter, PrettyPrintedDocumentParses)
@@ -288,9 +95,9 @@ TEST(JsonWriter, PrettyPrintedDocumentParses)
     w.endArray();
     w.endObject();
 
-    const JValue doc = MiniJsonParser::parse(w.str());
-    ASSERT_EQ(doc.at("rows").items.size(), 3u);
-    EXPECT_EQ(doc.at("rows").items[2].at("i").number, 2.0);
+    const obs::JsonValue doc = parseJson(w.str());
+    ASSERT_EQ(doc["rows"].size(), 3u);
+    EXPECT_EQ(doc["rows"].at(2)["i"].asDouble(), 2.0);
 }
 
 // -- Histogram::fromSamples ------------------------------------------------
@@ -365,26 +172,26 @@ TEST(MetricsRegistry, ToJsonSnapshotsMetricsAndWarnSites)
     Fabric fabric(2, 2, CxlLinkParams{});
     fabric.markChipDead(3);
 
-    const JValue doc = MiniJsonParser::parse(reg.toJson());
-    EXPECT_EQ(doc.at("counters").at("a.count").number, 3.0);
-    EXPECT_EQ(doc.at("gauges").at("a.depth").number, 2.5);
-    const JValue &lat = doc.at("latencies").at("a.seconds");
-    EXPECT_EQ(lat.at("count").number, 10.0);
-    EXPECT_NEAR(lat.at("mean_seconds").number, 0.055, 1e-9);
-    EXPECT_EQ(lat.at("min_seconds").number, 0.01);
-    EXPECT_EQ(lat.at("max_seconds").number, 0.1);
-    EXPECT_LE(lat.at("p50_seconds").number,
-              lat.at("p95_seconds").number);
-    EXPECT_LE(lat.at("p95_seconds").number,
-              lat.at("p99_seconds").number);
+    const obs::JsonValue doc = parseJson(reg.toJson());
+    EXPECT_EQ(doc["counters"]["a.count"].asDouble(), 3.0);
+    EXPECT_EQ(doc["gauges"]["a.depth"].asDouble(), 2.5);
+    const obs::JsonValue &lat = doc["latencies"]["a.seconds"];
+    EXPECT_EQ(lat["count"].asDouble(), 10.0);
+    EXPECT_NEAR(lat["mean_seconds"].asDouble(), 0.055, 1e-9);
+    EXPECT_EQ(lat["min_seconds"].asDouble(), 0.01);
+    EXPECT_EQ(lat["max_seconds"].asDouble(), 0.1);
+    EXPECT_LE(lat["p50_seconds"].asDouble(),
+              lat["p95_seconds"].asDouble());
+    EXPECT_LE(lat["p95_seconds"].asDouble(),
+              lat["p99_seconds"].asDouble());
 
-    const JValue &sites = doc.at("warn_sites");
-    ASSERT_EQ(sites.type, JValue::Type::Object);
+    const obs::JsonValue &sites = doc["warn_sites"];
+    ASSERT_TRUE(sites.isObject());
     bool fabric_site = false;
-    for (const auto &[key, count] : sites.members) {
+    for (const auto &[key, count] : sites.members()) {
         if (key.find("fabric.cc") != std::string::npos) {
             fabric_site = true;
-            EXPECT_GE(count.number, 1.0);
+            EXPECT_GE(count.asDouble(), 1.0);
         }
     }
     EXPECT_TRUE(fabric_site)
@@ -415,20 +222,20 @@ TEST(Tracer, MultiThreadedSpansParseBackAsChromeTraceEvents)
     });
     EXPECT_EQ(tracer.eventCount(), n);
 
-    const JValue doc = MiniJsonParser::parse(tracer.toJson(2));
-    EXPECT_EQ(doc.at("displayTimeUnit").str, "ms");
-    const JValue &events = doc.at("traceEvents");
-    ASSERT_EQ(events.items.size(), n);
+    const obs::JsonValue doc = parseJson(tracer.toJson(2));
+    EXPECT_EQ(doc["displayTimeUnit"].asString(), "ms");
+    const obs::JsonValue &events = doc["traceEvents"];
+    ASSERT_EQ(events.size(), n);
     std::set<double> seen_args;
-    for (const JValue &ev : events.items) {
-        EXPECT_EQ(ev.at("ph").str, "X");
-        EXPECT_EQ(ev.at("pid").number, 0.0);
-        EXPECT_EQ(ev.at("cat").str, "test");
-        EXPECT_EQ(ev.at("name").str, "test.span");
-        EXPECT_GE(ev.at("ts").number, 0.0);
-        EXPECT_GE(ev.at("dur").number, 0.0);
-        EXPECT_GE(ev.at("tid").number, 0.0);
-        seen_args.insert(ev.at("args").at("i").number);
+    for (const obs::JsonValue &ev : events.elements()) {
+        EXPECT_EQ(ev["ph"].asString(), "X");
+        EXPECT_EQ(ev["pid"].asDouble(), 0.0);
+        EXPECT_EQ(ev["cat"].asString(), "test");
+        EXPECT_EQ(ev["name"].asString(), "test.span");
+        EXPECT_GE(ev["ts"].asDouble(), 0.0);
+        EXPECT_GE(ev["dur"].asDouble(), 0.0);
+        EXPECT_GE(ev["tid"].asDouble(), 0.0);
+        seen_args.insert(ev["args"]["i"].asDouble());
     }
     EXPECT_EQ(seen_args.size(), n) << "every index traced exactly once";
 }
@@ -494,11 +301,11 @@ TEST(Serving, TracedRunBitIdenticalAndSpansFourSubsystems)
 
     // The trace covers the whole stack: scheduler, engine layers,
     // MoE routing and the thread pool's chunks.
-    const JValue doc = MiniJsonParser::parse(tracer.toJson());
+    const obs::JsonValue doc = parseJson(tracer.toJson());
     std::set<std::string> cats, names;
-    for (const JValue &ev : doc.at("traceEvents").items) {
-        cats.insert(ev.at("cat").str);
-        names.insert(ev.at("name").str);
+    for (const obs::JsonValue &ev : doc["traceEvents"].elements()) {
+        cats.insert(ev["cat"].asString());
+        names.insert(ev["name"].asString());
     }
     for (const char *cat : {"serving", "engine", "moe", "pool"})
         EXPECT_TRUE(cats.count(cat)) << "missing category " << cat;
@@ -516,9 +323,9 @@ TEST(Serving, TracedRunBitIdenticalAndSpansFourSubsystems)
     req.decodeTokens = 2;
     serving.enqueue(req);
     serving.run();
-    const JValue mj = MiniJsonParser::parse(serving.metricsJson());
-    EXPECT_EQ(mj.at("requests").number, 1.0);
-    EXPECT_EQ(mj.at("requests_detail").items.size(), 1u);
+    const obs::JsonValue mj = parseJson(serving.metricsJson());
+    EXPECT_EQ(mj["requests"].asDouble(), 1.0);
+    EXPECT_EQ(mj["requests_detail"].size(), 1u);
 }
 
 // -- PipelineSim tracing ---------------------------------------------------
@@ -543,15 +350,15 @@ TEST(PipelineSim, SimulatedTimeTraceIsPureObservation)
     EXPECT_EQ(traced.simulatedTokens, plain.simulatedTokens);
 
     ASSERT_GT(tracer.eventCount(), 0u);
-    const JValue doc = MiniJsonParser::parse(tracer.toJson());
+    const obs::JsonValue doc = parseJson(tracer.toJson());
     std::set<std::string> names;
     bool token_args = false;
-    for (const JValue &ev : doc.at("traceEvents").items) {
-        EXPECT_EQ(ev.at("cat").str, "pipeline");
-        EXPECT_GT(ev.at("dur").number, 0.0)
+    for (const obs::JsonValue &ev : doc["traceEvents"].elements()) {
+        EXPECT_EQ(ev["cat"].asString(), "pipeline");
+        EXPECT_GT(ev["dur"].asDouble(), 0.0)
             << "zero-length ops are not emitted";
-        names.insert(ev.at("name").str);
-        if (const JValue *args = ev.find("args"))
+        names.insert(ev["name"].asString());
+        if (const obs::JsonValue *args = ev.find("args"))
             token_args = token_args || args->find("token") != nullptr;
     }
     EXPECT_TRUE(token_args);

@@ -74,8 +74,9 @@ TEST(ThreadPool, AlignedChunkRangeIsADisjointCover)
                     // Interior boundaries land on the alignment, so a
                     // cache line of outputs never straddles two
                     // workers' chunks.
-                    if (i > 0)
+                    if (i > 0) {
                         EXPECT_EQ(begin % align, 0u);
+                    }
                     expected_begin = end;
                 }
                 EXPECT_EQ(expected_begin, n);

@@ -288,11 +288,11 @@ TEST(MoeBatch, MatchesPerTokenForwardAndRouting)
             for (std::size_t b = 0; b < batch; ++b)
                 xs[b] = randomReals(hidden, 700 + batch * 11 + b);
             for (ThreadPool *p : {(ThreadPool *)nullptr, &pool}) {
-                std::vector<std::vector<std::size_t>> sel_batch;
+                std::vector<std::vector<std::size_t>> sel_batch(batch);
                 const auto got = moe.forwardBatch(
                     xs, ExecContext{path, 8, HnKernel::Packed, nullptr,
                                     p},
-                    &sel_batch);
+                    sel_batch);
                 ASSERT_EQ(got.size(), batch);
                 ASSERT_EQ(sel_batch.size(), batch);
                 for (std::size_t b = 0; b < batch; ++b) {
