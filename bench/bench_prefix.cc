@@ -116,7 +116,8 @@ measureMix(const TransformerConfig &cfg, const ModelWeights &weights,
             req.arrivalStep = tr.arrivalStep;
             req.sampler = tr.sampler;
             req.seed = tr.seed;
-            serving.enqueue(std::move(req));
+            if (!serving.tryEnqueue(std::move(req)).admitted())
+                fail("trace request rejected");
         }
         const auto outcomes = serving.run();
         const ServingStats &s = serving.stats();

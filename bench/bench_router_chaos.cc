@@ -294,7 +294,8 @@ main(int argc, char **argv)
         sr.arrivalStep = req.arrivalStep;
         sr.sampler = req.sampler;
         sr.seed = req.seed;
-        serving.enqueue(sr);
+        if (!serving.tryEnqueue(sr).admitted())
+            fail("parity request rejected");
     }
     const auto serving_outcomes = serving.run();
     const double serving_tps =

@@ -97,7 +97,10 @@ measure(const TransformerConfig &cfg, const ModelWeights &weights,
         req.arrivalStep = tr.arrivalStep;
         req.sampler = tr.sampler;
         req.seed = tr.seed;
-        serving.enqueue(std::move(req));
+        if (!serving.tryEnqueue(std::move(req)).admitted()) {
+            std::fprintf(stderr, "FATAL: trace request rejected\n");
+            std::exit(1);
+        }
     }
     const auto outcomes = serving.run();
 

@@ -5,10 +5,12 @@
 # call_once fix and the ThreadPool stay honest (a data race fails this
 # script even when it happens not to corrupt a value).
 #
-# The fault-injection tests additionally run under AddressSanitizer:
-# fault plans index weight matrices and dead-row masks by generated
-# coordinates, exactly the kind of arithmetic where an off-by-one reads
-# out of bounds without failing a functional assertion.
+# The fault-injection, prefix-cache and router tests additionally run
+# under AddressSanitizer: fault plans index weight matrices and
+# dead-row masks by generated coordinates, exactly the kind of
+# arithmetic where an off-by-one reads out of bounds without failing a
+# functional assertion, and the router rebinds in-flight KV caches
+# across engine rebuilds.
 #
 # A fourth leg rebuilds the kernel, serving and parallel tests with
 # -DHNLPU_SIMD=OFF so the Portable fallback of the Simd kernel (the
@@ -130,14 +132,18 @@ cmake --build "$NOSIMD_DIR" -j --target test_hn_kernel --target test_serving \
 (cd "$NOSIMD_DIR" && ctest --output-on-failure -L '^(kernel|serving)$')
 (cd "$NOSIMD_DIR" && ctest --output-on-failure -R '^test_parallel$')
 
-echo "== tier-1: fault + prefix tests under AddressSanitizer =="
+echo "== tier-1: fault + prefix + router tests under AddressSanitizer =="
 # The block pool hands out raw double* payloads indexed by computed
 # (layer, head, token) offsets, and eviction recycles freed blocks
 # through a free list; ASan catches a stale pointer or an off-by-one
-# offset that a functional assertion would miss.
+# offset that a functional assertion would miss.  The router leg
+# covers SlotBatch::rebind: a spare-repaired shard keeps decoding
+# in-flight caches whose blocks live in the retired engine's pool,
+# kept alive only by the caches' shared_ptr.
 cmake -B "$ASAN_DIR" -S . -DHNLPU_SANITIZE=address
-cmake --build "$ASAN_DIR" -j --target test_fault --target test_prefix
-(cd "$ASAN_DIR" && ctest --output-on-failure -L '^(fault|prefix)$')
+cmake --build "$ASAN_DIR" -j --target test_fault --target test_prefix \
+    --target test_router
+(cd "$ASAN_DIR" && ctest --output-on-failure -L '^(fault|prefix|router)$')
 
 echo "== tier-1: router + fault tests under UBSan =="
 cmake -B "$UBSAN_DIR" -S . -DHNLPU_SANITIZE=undefined

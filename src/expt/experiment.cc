@@ -245,7 +245,7 @@ struct ScenarioResult
     std::size_t executedSteps = 0;
     std::size_t prefixHits = 0;
     std::size_t prefixMisses = 0;
-    std::size_t prefixMatchedTokens = 0; //!< solo path only
+    std::size_t prefixMatchedTokens = 0;
     std::size_t retries = 0;
     std::size_t failovers = 0;
     std::size_t faultsInjected = 0;
@@ -447,6 +447,7 @@ runFleet(const Scenario &sc, const TransformerConfig &model,
     r.executedSteps = stats.executedSteps;
     r.prefixHits = stats.prefixHits;
     r.prefixMisses = stats.prefixMisses;
+    r.prefixMatchedTokens = stats.prefixMatchedTokens;
     r.retries = stats.retries;
     r.failovers = stats.failovers;
     r.faultsInjected = stats.faultsInjected;
@@ -509,8 +510,7 @@ emitScenario(obs::JsonWriter &w, const Scenario &sc,
     w.key("prefix").beginObject();
     w.field("hits", r.prefixHits);
     w.field("misses", r.prefixMisses);
-    if (sc.fleet.shards == 0)
-        w.field("matched_tokens", r.prefixMatchedTokens);
+    w.field("matched_tokens", r.prefixMatchedTokens);
     w.endObject();
     if (!r.rejects.empty()) {
         w.key("rejects").beginObject();

@@ -92,19 +92,16 @@ ServingRouter::Shard::state() const
     return ShardState::Healthy;
 }
 
-std::size_t
-ServingRouter::Shard::freeSlots() const
+ServingRouter::Shard::Shard(std::unique_ptr<Engine> shard_engine,
+                            std::shared_ptr<PrefixCache> shard_prefix,
+                            std::size_t slots, const CxlLinkParams &link)
+    : engine(std::move(shard_engine)), prefix(std::move(shard_prefix)),
+      batch(*engine, slots, prefix.get()),
+      // One private frontend(0) <-> shard(1) CXL link pair, so a fault
+      // event can make a single shard's link lossy or dead without
+      // touching its peers.
+      fabric(std::make_unique<Fabric>(1, 2, link))
 {
-    std::size_t n = 0;
-    for (const Slot &slot : slots)
-        n += slot.busy ? 0 : 1;
-    return n;
-}
-
-std::size_t
-ServingRouter::Shard::busySlots() const
-{
-    return slots.size() - freeSlots();
 }
 
 ServingRouter::ServingRouter(const TransformerConfig &cfg,
@@ -119,18 +116,15 @@ ServingRouter::ServingRouter(const TransformerConfig &cfg,
     config_.validate(cfg_.vocabSize);
     exec_.batchSlots = config_.slotsPerShard;
 
-    shards_.resize(config_.shards);
-    for (Shard &shard : shards_) {
-        shard.engine = makeEngine(clean_);
+    shards_.reserve(config_.shards);
+    for (std::size_t s = 0; s < config_.shards; ++s) {
+        std::unique_ptr<Engine> engine = makeEngine(clean_);
+        std::shared_ptr<PrefixCache> prefix;
         if (config_.prefixCache)
-            shard.prefix = std::make_shared<PrefixCache>(
-                shard.engine->kvPool(), exec_.sink);
-        // One private frontend(0) <-> shard(1) CXL link pair, so a
-        // fault event can make a single shard's link lossy or dead
-        // without touching its peers.
-        shard.fabric =
-            std::make_unique<Fabric>(1, 2, config_.link);
-        shard.slots.resize(config_.slotsPerShard);
+            prefix = std::make_shared<PrefixCache>(engine->kvPool(),
+                                                   exec_.sink);
+        shards_.emplace_back(std::move(engine), std::move(prefix),
+                             config_.slotsPerShard, config_.link);
     }
 
     // Golden health-probe transcript from a throwaway clean engine
@@ -202,21 +196,9 @@ ServingRouter::enqueue(RouterRequest request)
     const std::size_t id = requests_.size();
 
     // Validation that needs no queue state.
-    RejectReason reason = RejectReason::None;
-    if (request.prompt.empty()) {
-        reason = RejectReason::EmptyPrompt;
-    } else if (request.decodeTokens == 0) {
-        reason = RejectReason::ZeroDecodeTokens;
-    } else {
-        for (const std::size_t tok : request.prompt) {
-            if (tok >= cfg_.vocabSize) {
-                reason = RejectReason::TokenOutOfVocab;
-                break;
-            }
-        }
-    }
-    if (reason == RejectReason::None)
-        reason = validateSamplerConfig(request.sampler, cfg_.vocabSize);
+    RejectReason reason = validateRequestFields(
+        request.prompt, request.decodeTokens, request.sampler,
+        cfg_.vocabSize);
     if (reason == RejectReason::None) {
         // A budget below the minimum servable step count can never be
         // met (first token p steps after admission, last token
@@ -334,49 +316,25 @@ ServingRouter::finish(std::size_t id, RequestStatus status,
 std::vector<std::size_t>
 ServingRouter::probeGenerate(Shard &shard)
 {
-    // Mirrors Engine::generate with greedy sampling, but through a
-    // slot-style paged cache so the shard's prefix cache can skip
-    // prefill of the (fixed) probe prompt on repeat probes.  Reuse
-    // cannot mask divergence: a cached probe prefix was computed by
-    // this same engine instance, so any weight corruption still
-    // reaches the compared tokens through every sampled position.
-    const std::vector<std::size_t> &prompt = config_.probePrompt;
-    const std::size_t p = prompt.size();
-    KvCache cache =
-        shard.engine->makeCache(p + config_.probeTokens);
-    std::size_t fed = 0;
-    if (shard.prefix) {
-        // Probes run the base model and live in their own reserved
-        // prefix-cache tenant (npos) so tenant traffic can neither
-        // feed nor consume probe KV.
-        PrefixCache::Match m = shard.prefix->lookup(npos, prompt, p - 1);
-        if (m.matchedTokens > 0) {
-            cache.adoptPrefix(m.chain, m.matchedTokens);
-            fed = m.matchedTokens;
-            ++stats_.probePrefixHits;
+    // Engine::generate with greedy sampling, but through a one-slot
+    // SlotBatch so the shard's prefix cache can skip prefill of the
+    // (fixed) probe prompt on repeat probes.  Reuse cannot mask
+    // divergence: a cached probe prefix was computed by this same
+    // engine instance, so any weight corruption still reaches the
+    // compared tokens through every sampled position.  Probes run the
+    // base model (the golden transcript has no LoRA) in their own
+    // reserved prefix-cache tenant (npos), so tenant traffic can
+    // neither feed nor consume probe KV.
+    SlotBatch probe(*shard.engine, 1, shard.prefix.get());
+    if (probe.admit(0, config_.probePrompt, config_.probeTokens,
+                    SamplerConfig{0.0, 0}, 0, npos, nullptr) > 0)
+        ++stats_.probePrefixHits;
+    for (;;) {
+        for (SlotBatch::Event &event : probe.step(0)) {
+            if (event.finished)
+                return std::move(event.tokens);
         }
     }
-    Sampler greedy(SamplerConfig{0.0, 0}, 0);
-    std::vector<std::size_t> got;
-    std::vector<std::size_t> token(1);
-    const std::vector<KvCache *> caches{&cache};
-    std::vector<std::uint8_t> want(1);
-    // Explicit base-model adapter slot: the golden transcript was
-    // generated without LoRA, so the probe must ignore any engine
-    // default.
-    const std::vector<const LoraSet *> base_lora(1, nullptr);
-    while (got.size() < config_.probeTokens) {
-        token[0] = fed < p ? prompt[fed] : got.back();
-        want[0] = fed + 1 >= p ? 1 : 0;
-        const std::vector<Vec> logits = shard.engine->forwardTokenBatch(
-            token, caches, want, base_lora);
-        ++fed;
-        if (shard.prefix && fed == p)
-            shard.prefix->insert(npos, prompt, cache);
-        if (want[0] != 0)
-            got.push_back(greedy.sample(logits[0]));
-    }
-    return got;
 }
 
 bool
@@ -415,23 +373,19 @@ ServingRouter::failoverShard(std::size_t shard_index, std::size_t step)
     recovery.record.faultStep = step;
     recovery.record.shard = shard_index;
 
-    for (Slot &slot : shard.slots) {
-        if (!slot.busy)
+    for (std::size_t s = 0; s < shard.batch.size(); ++s) {
+        if (!shard.batch.busy(s))
             continue;
-        const std::size_t id = slot.request;
-        slot.busy = false;
-        slot.cache.reset();
-        slot.sampler.reset();
-        ++stats_.failovers;
-
-        ReqState &state = requests_[id];
-        RouterOutcome &out = outcomes_[id];
+        const std::size_t id = shard.batch.requestId(s);
         // Partial decode from the failed shard is discarded: the retry
         // restarts prefill with a fresh Sampler(config, seed), so the
         // completed transcript is bit-identical to a clean solo
         // Engine::generate regardless of where the fault interrupted.
-        out.tokens.clear();
-        out.firstTokenStep = 0;
+        shard.batch.release(s);
+        ++stats_.failovers;
+
+        ReqState &state = requests_[id];
+        outcomes_[id].firstTokenStep = 0;
 
         if (state.attempts > config_.maxRetries) {
             finish(id, RequestStatus::Shed,
@@ -516,6 +470,7 @@ ServingRouter::applyFaultEvents(std::size_t step)
                 shard.prefix = std::make_shared<PrefixCache>(
                     shard.engine->kvPool(), exec_.sink);
             }
+            shard.batch.rebind(*shard.engine, shard.prefix.get());
             if (!probeShard(shard)) {
                 ++stats_.probeFailures;
                 shard.weightsCorrupt = true;
@@ -542,7 +497,8 @@ ServingRouter::sweepDeadlines(std::size_t step)
         const RouterOutcome &out = outcomes_[id];
         const RouterRequest &req = state.req;
         std::size_t deadline = npos;
-        if (req.ttftDeadlineSteps != 0 && out.tokens.empty())
+        // firstTokenStep stays 0 until a first token is sampled.
+        if (req.ttftDeadlineSteps != 0 && out.firstTokenStep == 0)
             deadline = req.arrivalStep + req.ttftDeadlineSteps;
         if (req.deadlineSteps != 0)
             deadline = std::min(deadline,
@@ -572,15 +528,14 @@ ServingRouter::sweepDeadlines(std::size_t step)
         }
     }
     // In-flight requests: cancellation mid-decode reclaims the slot
-    // this very step.
+    // this very step and keeps the tokens sampled so far.
     for (Shard &shard : shards_) {
-        for (Slot &slot : shard.slots) {
-            if (!slot.busy || !expired(slot.request))
+        for (std::size_t s = 0; s < shard.batch.size(); ++s) {
+            if (!shard.batch.busy(s) ||
+                !expired(shard.batch.requestId(s)))
                 continue;
-            const std::size_t id = slot.request;
-            slot.busy = false;
-            slot.cache.reset();
-            slot.sampler.reset();
+            const std::size_t id = shard.batch.requestId(s);
+            outcomes_[id].tokens = shard.batch.release(s);
             finish(id, RequestStatus::Cancelled,
                    RejectReason::DeadlineExpired, step);
         }
@@ -665,7 +620,7 @@ ServingRouter::admit(std::size_t step)
             std::size_t best_busy = 0;
             for (std::size_t s = 0; s < shards_.size(); ++s) {
                 const Shard &shard = shards_[s];
-                if (shard.freeSlots() == 0)
+                if (shard.batch.freeSlots() == 0)
                     continue;
                 const ShardState st = shard.state();
                 int rank;
@@ -676,7 +631,7 @@ ServingRouter::admit(std::size_t step)
                     rank = 1;
                 else
                     continue;
-                const std::size_t busy = shard.busySlots();
+                const std::size_t busy = shard.batch.busySlots();
                 if (rank < best_rank ||
                     (rank == best_rank && busy < best_busy)) {
                     best = s;
@@ -689,113 +644,26 @@ ServingRouter::admit(std::size_t step)
             it = queue.erase(it);
 
             Shard &shard = shards_[best];
-            Slot *slot = nullptr;
-            for (Slot &candidate : shard.slots) {
-                if (!candidate.busy) {
-                    slot = &candidate;
-                    break;
-                }
-            }
-            hnlpu_assert(slot, "free-slot accounting out of sync");
             const RouterRequest &req = state.req;
-            slot->busy = true;
-            slot->request = id;
-            slot->fed = 0;
             // Resolve the tenant adapter per dispatch: the registry
             // owns the mapping, so a retried request serves the same
             // adapter on whichever shard it lands on.
-            slot->lora = loraRegistry_.adapterFor(
-                req.tenantId, shard.engine->defaultLora());
-            slot->cache.emplace(shard.engine->makeCache(
-                req.prompt.size() + req.decodeTokens));
-            slot->sampler.emplace(req.sampler, req.seed);
+            const std::size_t matched = shard.batch.admit(
+                id, req.prompt, req.decodeTokens, req.sampler, req.seed,
+                req.tenantId,
+                loraRegistry_.adapterFor(req.tenantId,
+                                         shard.engine->defaultLora()));
             if (shard.prefix) {
-                PrefixCache::Match m = shard.prefix->lookup(
-                    req.tenantId, req.prompt, req.prompt.size() - 1);
-                if (m.matchedTokens > 0) {
-                    slot->cache->adoptPrefix(m.chain,
-                                             m.matchedTokens);
-                    slot->fed = m.matchedTokens;
+                if (matched > 0)
                     ++stats_.prefixHits;
-                } else {
+                else
                     ++stats_.prefixMisses;
-                }
+                stats_.prefixMatchedTokens += matched;
             }
             ++state.attempts;
             outcomes_[id].admitStep = step;
             outcomes_[id].shard = best;
             dispatchSend(best, req.prompt.size());
-        }
-    }
-}
-
-void
-ServingRouter::stepShard(Shard &shard, std::size_t step)
-{
-    std::vector<std::size_t> tokens;
-    std::vector<KvCache *> caches;
-    std::vector<std::uint8_t> want;
-    std::vector<const LoraSet *> loras;
-    std::vector<Slot *> active;
-    for (Slot &slot : shard.slots) {
-        if (!slot.busy)
-            continue;
-        const RouterRequest &req = requests_[slot.request].req;
-        const RouterOutcome &out = outcomes_[slot.request];
-        const std::size_t p = req.prompt.size();
-        tokens.push_back(slot.fed < p ? req.prompt[slot.fed]
-                                      : out.tokens.back());
-        caches.push_back(&*slot.cache);
-        want.push_back(slot.fed + 1 >= p ? 1 : 0);
-        loras.push_back(slot.lora);
-        active.push_back(&slot);
-    }
-    if (tokens.empty())
-        return;
-
-    const obs::Sink *const sink = exec_.sink;
-    std::string args;
-    if (sink && sink->trace) {
-        obs::JsonWriter w(0);
-        w.beginObject()
-            .field("step", step)
-            .field("batch", tokens.size())
-            .endObject();
-        args = w.str();
-    }
-    std::vector<Vec> logits;
-    {
-        obs::ScopedSpan span(sink ? sink->trace : nullptr, "router",
-                             "router.shard_step", std::move(args));
-        logits = shard.engine->forwardTokenBatch(tokens, caches, want,
-                                                 loras);
-    }
-    for (std::size_t c = 0; c < active.size(); ++c) {
-        Slot &slot = *active[c];
-        const RouterRequest &req = requests_[slot.request].req;
-        RouterOutcome &out = outcomes_[slot.request];
-        ++slot.fed;
-        // Index the finished prefill for later admissions.  The pool
-        // guard skips slots whose cache predates an engine rebuild
-        // (their blocks live in the retired pool and cannot be
-        // indexed by the fresh prefix cache).
-        if (shard.prefix && slot.fed == req.prompt.size() &&
-            slot.cache->poolHandle().get() ==
-                shard.prefix->pool().get())
-            shard.prefix->insert(req.tenantId, req.prompt,
-                                 *slot.cache);
-        if (want[c] == 0)
-            continue;
-        out.tokens.push_back(slot.sampler->sample(logits[c]));
-        ++shard.decodedTokens;
-        if (out.tokens.size() == 1)
-            out.firstTokenStep = step + 1;
-        if (out.tokens.size() == req.decodeTokens) {
-            // Terminal bookkeeping (finish()) runs on the router
-            // thread after the join; here we only release the slot.
-            slot.busy = false;
-            slot.cache.reset();
-            slot.sampler.reset();
         }
     }
 }
@@ -862,6 +730,9 @@ ServingRouter::run()
     sim::Simulation stepSim;
     sim::StepClock clock(stepSim);
     std::vector<std::thread> workers;
+    /** Each stepped shard's events this step (null: not stepped). */
+    std::vector<std::vector<SlotBatch::Event> *> shard_events(
+        shards_.size());
     while (terminalCount_ < n) {
         const std::size_t step = clock.step();
         applyFaultEvents(step);
@@ -872,7 +743,7 @@ ServingRouter::run()
 
         bool any_busy = false;
         for (const Shard &shard : shards_)
-            any_busy = any_busy || shard.busySlots() > 0;
+            any_busy = any_busy || shard.batch.busySlots() > 0;
         if (metrics) {
             g_q_interactive->set(double(queues_[0].size()));
             g_q_batch->set(double(queues_[1].size()));
@@ -917,11 +788,13 @@ ServingRouter::run()
             obs::ScopedSpan span(trace, "router", "router.step",
                                  std::move(step_args));
             workers.clear();
-            for (Shard &shard : shards_) {
-                if (shard.busySlots() == 0)
+            for (std::size_t s = 0; s < shards_.size(); ++s) {
+                shard_events[s] = nullptr;
+                if (shards_[s].batch.busySlots() == 0)
                     continue;
-                workers.emplace_back([this, &shard, step] {
-                    stepShard(shard, step);
+                workers.emplace_back([this, &shard_events, s, step] {
+                    shard_events[s] = &shards_[s].batch.step(
+                        step, "router", "router.shard_step");
                 });
             }
             for (std::thread &worker : workers)
@@ -931,28 +804,22 @@ ServingRouter::run()
         if (c_steps)
             c_steps->add(1);
 
-        // Terminal bookkeeping on the router thread, in deterministic
-        // (shard, request) order.
-        for (Shard &shard : shards_) {
-            if (c_decoded && shard.decodedTokens) {
-                c_decoded->add(shard.decodedTokens);
-                shard.decodedTokens = 0;
-            }
-        }
-        for (std::size_t s = 0; s < shards_.size(); ++s) {
-            for (Slot &slot : shards_[s].slots) {
-                // A slot released by stepShard with a full transcript
-                // is a completion (failover/cancel paths finish()
-                // their requests themselves and clear slot.request).
-                if (slot.busy || slot.request == npos)
-                    continue;
-                const std::size_t id = slot.request;
-                if (!requests_[id].terminal &&
-                    outcomes_[id].tokens.size() ==
-                        requests_[id].req.decodeTokens)
-                    finish(id, RequestStatus::Completed,
+        // Sampled-token bookkeeping on the router thread, in
+        // deterministic (shard, slot) order.
+        for (std::vector<SlotBatch::Event> *events : shard_events) {
+            if (!events)
+                continue;
+            if (c_decoded)
+                c_decoded->add(events->size());
+            for (SlotBatch::Event &event : *events) {
+                RouterOutcome &out = outcomes_[event.id];
+                if (event.firstToken)
+                    out.firstTokenStep = step + 1;
+                if (event.finished) {
+                    out.tokens = std::move(event.tokens);
+                    finish(event.id, RequestStatus::Completed,
                            RejectReason::None, step + 1);
-                slot.request = npos;
+                }
             }
         }
         // Simulated-time step span on the unified clock (wall-time
@@ -1045,6 +912,7 @@ ServingRouter::metricsJson() const
     w.field("probe_failures", stats_.probeFailures);
     w.field("prefix_hits", stats_.prefixHits);
     w.field("prefix_misses", stats_.prefixMisses);
+    w.field("prefix_matched_tokens", stats_.prefixMatchedTokens);
     w.field("probe_prefix_hits", stats_.probePrefixHits);
     w.field("link_timeouts", stats_.linkTimeouts);
     w.field("degraded_mode", stats_.degradedMode);

@@ -8,10 +8,11 @@
  * hardware model already admits -- dead neurons beyond spare-repair
  * capacity (src/fault), and flaky or severed CXL links (src/noc) --
  * without dropping the fleet or corrupting a single served token.  The
- * router fronts N shards, each a full Engine replica with its own
- * decode slots (the continuous-batching semantics of ServingEngine),
- * and layers four robustness mechanisms on the shared scheduler step
- * clock:
+ * router fronts N shards, each a full Engine replica stepping its own
+ * SlotBatch (xformer/serving.hh, the slot stepper ServingEngine runs
+ * on), and keeps only policy -- class queues, deadlines, health,
+ * failover, backoff and the link model -- layering four robustness
+ * mechanisms on the shared scheduler step clock:
  *
  *  1. *Admission control*: bounded per-class queues (interactive ahead
  *     of batch) with typed load shedding (RejectReason) instead of the
@@ -49,7 +50,6 @@
 #include <array>
 #include <deque>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -201,6 +201,8 @@ struct RouterStats
     /** Admissions whose prompt matched a shard's cached prefix. */
     std::size_t prefixHits = 0;
     std::size_t prefixMisses = 0;
+    /** Prompt tokens whose prefill a prefix-cache hit skipped. */
+    std::size_t prefixMatchedTokens = 0;
     /** Health probes that reused a cached probe-prompt prefix. */
     std::size_t probePrefixHits = 0;
     std::size_t linkTimeouts = 0;   //!< CXL sends that exhausted retries
@@ -329,21 +331,12 @@ class ServingRouter
     bool degradedMode() const { return stats_.degradedMode; }
 
   private:
-    struct Slot
-    {
-        bool busy = false;
-        std::size_t request = npos;
-        std::size_t fed = 0;
-        /** Tenant adapter resolved at admission (null = base model);
-         *  registry-owned, so it survives engine rebuilds and failover
-         *  re-dispatches unchanged. */
-        const LoraSet *lora = nullptr;
-        std::optional<KvCache> cache;
-        std::optional<Sampler> sampler;
-    };
-
     struct Shard
     {
+        Shard(std::unique_ptr<Engine> shard_engine,
+              std::shared_ptr<PrefixCache> shard_prefix,
+              std::size_t slots, const CxlLinkParams &link);
+
         /** Null while the shard still serves the clean weights. */
         std::unique_ptr<ModelWeights> faultedWeights;
         std::unique_ptr<Engine> engine;
@@ -354,6 +347,8 @@ class ServingRouter
          * through in-flight slot caches' shared_ptr until they drain.
          */
         std::shared_ptr<PrefixCache> prefix;
+        /** The shard's decode slots over engine and prefix. */
+        SlotBatch batch;
         /** Private frontend(chip 0) <-> shard(chip 1) CXL link. */
         std::unique_ptr<Fabric> fabric;
         Tick linkNow = 0;
@@ -361,12 +356,8 @@ class ServingRouter
         bool linkDead = false;
         bool linkLossy = false;
         std::size_t linkTimeouts = 0;
-        std::vector<Slot> slots;
-        std::size_t decodedTokens = 0; //!< per-step scratch, merged
 
         ShardState state() const;
-        std::size_t freeSlots() const;
-        std::size_t busySlots() const;
     };
 
     /** Scheduling state of one submitted request. */
@@ -385,7 +376,7 @@ class ServingRouter
                 RejectReason reason, std::size_t step);
     void applyFaultEvents(std::size_t step);
     bool probeShard(Shard &shard);
-    /** Greedy probe decode through the shard's prefix cache. */
+    /** Greedy probe decode: a one-slot SlotBatch on the shard. */
     std::vector<std::size_t> probeGenerate(Shard &shard);
     void failoverShard(std::size_t shard_index, std::size_t step);
     void sweepDeadlines(std::size_t step);
@@ -393,7 +384,6 @@ class ServingRouter
     void admit(std::size_t step);
     /** Dispatch-cost send over the shard's link; detects timeouts. */
     void dispatchSend(std::size_t shard_index, std::size_t tokens);
-    void stepShard(Shard &shard, std::size_t step);
     std::size_t healthyShards() const;
     std::size_t usableShards() const;
 

@@ -1,5 +1,6 @@
 #include "xformer/serving.hh"
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 
@@ -24,9 +25,19 @@ constexpr std::size_t kQuantileBins = 4096;
 } // namespace
 
 RejectReason
-validateSamplerConfig(const SamplerConfig &sampler,
+validateRequestFields(const std::vector<std::size_t> &prompt,
+                      std::size_t decode_tokens,
+                      const SamplerConfig &sampler,
                       std::size_t vocab_size)
 {
+    if (prompt.empty())
+        return RejectReason::EmptyPrompt;
+    if (decode_tokens == 0)
+        return RejectReason::ZeroDecodeTokens;
+    for (const std::size_t id : prompt) {
+        if (id >= vocab_size)
+            return RejectReason::TokenOutOfVocab;
+    }
     if (!std::isfinite(sampler.temperature) ||
         sampler.temperature < 0.0) {
         hnlpu_warn_ratelimited(
@@ -44,38 +55,164 @@ validateSamplerConfig(const SamplerConfig &sampler,
     return RejectReason::None;
 }
 
-RejectReason
-validateServingRequest(const ServingRequest &request,
-                       std::size_t vocab_size)
+SlotBatch::SlotBatch(Engine &engine, std::size_t slots,
+                     PrefixCache *prefix)
+    : slots_(slots)
 {
-    if (request.prompt.empty())
-        return RejectReason::EmptyPrompt;
-    if (request.decodeTokens == 0)
-        return RejectReason::ZeroDecodeTokens;
-    for (const std::size_t id : request.prompt) {
-        if (id >= vocab_size)
-            return RejectReason::TokenOutOfVocab;
+    hnlpu_assert(slots >= 1, "slot batch needs at least one slot");
+    rebind(engine, prefix);
+}
+
+void
+SlotBatch::rebind(Engine &engine, PrefixCache *prefix)
+{
+    hnlpu_assert(prefix == nullptr ||
+                     prefix->pool().get() == engine.kvPool().get(),
+                 "prefix cache bound to a different engine's KV pool");
+    engine_ = &engine;
+    prefix_ = prefix;
+}
+
+std::size_t
+SlotBatch::busySlots() const
+{
+    std::size_t n = 0;
+    for (const Slot &slot : slots_)
+        n += slot.busy ? 1 : 0;
+    return n;
+}
+
+std::size_t
+SlotBatch::admit(std::size_t id, const std::vector<std::size_t> &prompt,
+                 std::size_t decode_tokens, const SamplerConfig &sampler,
+                 std::uint64_t seed, std::size_t prefix_tenant,
+                 const LoraSet *lora)
+{
+    auto free_slot = std::find_if(slots_.begin(), slots_.end(),
+                                  [](const Slot &s) { return !s.busy; });
+    hnlpu_assert(free_slot != slots_.end(), "admit into a full batch");
+    Slot &slot = *free_slot;
+    slot.busy = true;
+    slot.id = id;
+    slot.prompt = &prompt;
+    slot.decodeTokens = decode_tokens;
+    slot.prefixTenant = prefix_tenant;
+    slot.fed = 0;
+    slot.lora = lora;
+    // Capacity-hinted to prompt + decode, so appends never reallocate.
+    slot.cache.emplace(engine_->makeCache(prompt.size() + decode_tokens));
+    slot.sampler.emplace(sampler, seed);
+    slot.tokens.clear();
+    if (!prefix_)
+        return 0;
+    // Matched positions skip prefill: the slot adopts the pinned
+    // blocks and fed starts at the match length.
+    PrefixCache::Match m =
+        prefix_->lookup(prefix_tenant, prompt, prompt.size() - 1);
+    if (m.matchedTokens > 0) {
+        slot.cache->adoptPrefix(m.chain, m.matchedTokens);
+        slot.fed = m.matchedTokens;
     }
-    return validateSamplerConfig(request.sampler, vocab_size);
+    return m.matchedTokens;
+}
+
+std::vector<std::size_t>
+SlotBatch::release(std::size_t slot_index)
+{
+    Slot &slot = slots_[slot_index];
+    hnlpu_assert(slot.busy, "release of an idle slot");
+    slot.busy = false;
+    slot.cache.reset();
+    slot.sampler.reset();
+    return std::move(slot.tokens);
+}
+
+std::vector<SlotBatch::Event> &
+SlotBatch::step(std::size_t clock_step, std::string_view span_cat,
+                std::string_view span_name)
+{
+    tokens_.clear();
+    caches_.clear();
+    want_.clear();
+    loras_.clear();
+    active_.clear();
+    events_.clear();
+    for (std::size_t s = 0; s < slots_.size(); ++s) {
+        Slot &slot = slots_[s];
+        if (!slot.busy)
+            continue;
+        const std::size_t p = slot.prompt->size();
+        tokens_.push_back(slot.fed < p ? (*slot.prompt)[slot.fed]
+                                       : slot.tokens.back());
+        caches_.push_back(&*slot.cache);
+        // Early prefill skips the vocab-sized unembedding, just like
+        // Engine::generate.
+        want_.push_back(slot.fed + 1 >= p ? 1 : 0);
+        loras_.push_back(slot.lora);
+        active_.push_back(s);
+    }
+    hnlpu_assert(!tokens_.empty(), "slot batch step with no busy slot");
+
+    const obs::Sink *const sink = engine_->execContext().sink;
+    obs::Tracer *const trace =
+        sink && !span_name.empty() ? sink->trace : nullptr;
+    std::string args;
+    if (trace) {
+        obs::JsonWriter w(0);
+        w.beginObject()
+            .field("step", clock_step)
+            .field("batch", tokens_.size())
+            .endObject();
+        args = w.str();
+    }
+    std::vector<Vec> logits;
+    {
+        obs::ScopedSpan span(trace, span_cat, span_name, std::move(args));
+        logits =
+            engine_->forwardTokenBatch(tokens_, caches_, want_, loras_);
+    }
+
+    for (std::size_t c = 0; c < active_.size(); ++c) {
+        Slot &slot = slots_[active_[c]];
+        ++slot.fed;
+        // The forward that completed prefill indexed the full prompt:
+        // publish it so later requests with the same prefix skip their
+        // prefill.  (The tree's reference on the tail block makes this
+        // slot's next decode append copy-on-write.)  A cache that
+        // predates a rebind lives in the retired pool and cannot be
+        // indexed by the new prefix cache.
+        if (prefix_ && slot.fed == slot.prompt->size() &&
+            slot.cache->poolHandle().get() == prefix_->pool().get())
+            prefix_->insert(slot.prefixTenant, *slot.prompt,
+                            *slot.cache);
+        if (want_[c] == 0)
+            continue;
+        slot.tokens.push_back(slot.sampler->sample(logits[c]));
+        Event &event = events_.emplace_back();
+        event.id = slot.id;
+        event.firstToken = slot.tokens.size() == 1;
+        if (slot.tokens.size() == slot.decodeTokens) {
+            event.finished = true;
+            event.tokens = release(active_[c]);
+        }
+    }
+    return events_;
 }
 
 ServingEngine::ServingEngine(Engine &engine, std::size_t slots,
                              PrefixCache *prefix)
     : engine_(engine),
-      slots_(slots != 0 ? slots : engine.execOptions().batchSlots),
-      prefix_(prefix)
+      batch_(engine, slots != 0 ? slots : engine.execOptions().batchSlots,
+             prefix)
 {
-    hnlpu_assert(slots_ >= 1, "serving engine needs at least one slot");
-    hnlpu_assert(prefix_ == nullptr ||
-                     prefix_->pool().get() == engine_.kvPool().get(),
-                 "prefix cache bound to a different engine's KV pool");
 }
 
 EnqueueResult
 ServingEngine::tryEnqueue(ServingRequest request)
 {
-    const RejectReason reason =
-        validateServingRequest(request, engine_.config().vocabSize);
+    const RejectReason reason = validateRequestFields(
+        request.prompt, request.decodeTokens, request.sampler,
+        engine_.config().vocabSize);
     if (reason != RejectReason::None)
         return {0, reason};
     if (!loraRegistry_.knows(request.tenantId))
@@ -85,17 +222,6 @@ ServingEngine::tryEnqueue(ServingRequest request)
         return {0, RejectReason::ArrivalOrderViolation};
     queue_.push_back(std::move(request));
     return {nextId_++, RejectReason::None};
-}
-
-std::size_t
-ServingEngine::enqueue(ServingRequest request)
-{
-    const EnqueueResult result = tryEnqueue(std::move(request));
-    if (!result.admitted()) {
-        hnlpu_fatal("serving enqueue rejected: ",
-                    rejectReasonName(result.reason));
-    }
-    return result.id;
 }
 
 std::vector<ServingOutcome>
@@ -112,7 +238,7 @@ ServingEngine::runOn(sim::Simulation &sim)
     const std::size_t base_id = nextId_ - n;
     outcomes_.assign(n, ServingOutcome{});
     stats_ = ServingStats{};
-    stats_.slots = slots_;
+    stats_.slots = batch_.size();
     stats_.requests = n;
     if (n == 0)
         return {};
@@ -148,7 +274,6 @@ ServingEngine::runOn(sim::Simulation &sim)
         h_step = metrics->latency("serving.step_seconds");
     }
 
-    std::vector<Slot> slots(slots_);
     std::size_t next = 0;     // next queue index to admit (FIFO)
     std::size_t finished = 0;
     // The step index lives on the unified simulation clock: advancing a
@@ -158,20 +283,11 @@ ServingEngine::runOn(sim::Simulation &sim)
     /** step_wall[t] = elapsed seconds when step t began. */
     std::vector<double> step_wall;
 
-    std::vector<std::size_t> tokens;
-    std::vector<KvCache *> caches;
-    std::vector<std::uint8_t> want;
-    std::vector<const LoraSet *> loras;
-    std::vector<std::size_t> slot_index;
-
     while (finished < n) {
         // All slots idle and the next request is in the future: jump
         // the step clock to its arrival (the skipped steps take no wall
         // time -- there is nothing to execute).
-        bool any_busy = false;
-        for (const Slot &slot : slots)
-            any_busy = any_busy || slot.busy;
-        if (!any_busy) {
+        if (batch_.busySlots() == 0) {
             hnlpu_assert(next < n, "serving run stalled with ",
                          n - finished, " unfinished requests");
             const double now = elapsed();
@@ -185,126 +301,55 @@ ServingEngine::runOn(sim::Simulation &sim)
         // Admit arrived requests into free slots, FIFO.  A slot freed
         // at finishStep f is re-admissible at step f, matching
         // ContinuousBatcher's slot_free bookkeeping exactly.
-        for (Slot &slot : slots) {
-            if (slot.busy)
-                continue;
-            if (next >= n || queue_[next].arrivalStep > clock.step())
-                break;
+        while (batch_.freeSlots() > 0 && next < n &&
+               queue_[next].arrivalStep <= clock.step()) {
             const ServingRequest &req = queue_[next];
-            slot.busy = true;
-            slot.request = next;
-            slot.fed = 0;
-            // Resolve the tenant's adapter once per admission; the
-            // tenant was checked at enqueue, and the unregistered
+            // The tenant was checked at enqueue; the unregistered
             // default tenant 0 tracks the engine-default adapter
             // (whatever setLora() installed by now).
-            slot.lora = loraRegistry_.adapterFor(req.tenantId,
-                                                 engine_.defaultLora());
-            slot.cache.emplace(engine_.makeCache(req.prompt.size() +
-                                                 req.decodeTokens));
-            slot.sampler.emplace(req.sampler, req.seed);
-            if (prefix_) {
-                // Longest cached prefix in this tenant's tree (KV is
-                // adapter-dependent, so hits never cross tenants),
-                // capped at prompt - 1 so the last prompt token is
-                // always forwarded (its logits seed the sampler).
-                // Matched positions skip prefill: the slot adopts the
-                // pinned blocks and fed starts at the match length.
-                PrefixCache::Match m = prefix_->lookup(
-                    req.tenantId, req.prompt, req.prompt.size() - 1);
-                if (m.matchedTokens > 0) {
-                    slot.cache->adoptPrefix(m.chain, m.matchedTokens);
-                    slot.fed = m.matchedTokens;
+            const std::size_t matched = batch_.admit(
+                next, req.prompt, req.decodeTokens, req.sampler,
+                req.seed, req.tenantId,
+                loraRegistry_.adapterFor(req.tenantId,
+                                         engine_.defaultLora()));
+            if (batch_.prefixCache()) {
+                if (matched > 0)
                     ++stats_.prefixHits;
-                } else {
+                else
                     ++stats_.prefixMisses;
-                }
-                stats_.prefixMatchedTokens += m.matchedTokens;
+                stats_.prefixMatchedTokens += matched;
             }
             outcomes_[next].admitStep = clock.step();
             ++next;
         }
 
-        // One token per busy slot: prompt tokens while prefilling, the
-        // previously sampled token while decoding.  Logits are only
-        // requested for forwards whose output feeds the sampler (the
-        // last prefill token and every decode token), so early prefill
-        // skips the vocab-sized unembedding just like Engine::generate.
-        tokens.clear();
-        caches.clear();
-        want.clear();
-        loras.clear();
-        slot_index.clear();
-        for (std::size_t s = 0; s < slots.size(); ++s) {
-            Slot &slot = slots[s];
-            if (!slot.busy)
-                continue;
-            const ServingRequest &req = queue_[slot.request];
-            const ServingOutcome &out = outcomes_[slot.request];
-            const std::size_t p = req.prompt.size();
-            tokens.push_back(slot.fed < p ? req.prompt[slot.fed]
-                                          : out.tokens.back());
-            caches.push_back(&*slot.cache);
-            want.push_back(slot.fed + 1 >= p ? 1 : 0);
-            loras.push_back(slot.lora);
-            slot_index.push_back(s);
-        }
-        hnlpu_assert(!tokens.empty(), "serving step with no busy slot");
+        const std::size_t batch = batch_.busySlots();
         if (metrics) {
             // Queue depth counts requests not yet admitted (whether or
             // not they have "arrived" on the step clock); busy slots is
             // exactly this step's batch size.
             g_queue_depth->set(double(n - next));
-            g_busy_slots->set(double(tokens.size()));
+            g_busy_slots->set(double(batch));
             c_steps->add(1);
-            c_forwards->add(tokens.size());
-        }
-        std::string step_args;
-        if (trace) {
-            obs::JsonWriter w(0);
-            w.beginObject()
-                .field("step", clock.step())
-                .field("batch", tokens.size())
-                .endObject();
-            step_args = w.str();
+            c_forwards->add(batch);
         }
         const double step_t0 = elapsed();
-        std::vector<Vec> logits;
-        {
-            obs::ScopedSpan span(trace, "serving", "serve.step",
-                                 std::move(step_args));
-            logits =
-                engine_.forwardTokenBatch(tokens, caches, want, loras);
-        }
+        std::vector<SlotBatch::Event> &events =
+            batch_.step(clock.step(), "serving", "serve.step");
         if (h_step)
             h_step->observe(elapsed() - step_t0);
-        stats_.forwards += tokens.size();
+        stats_.forwards += batch;
         ++stats_.executedSteps;
 
-        for (std::size_t c = 0; c < slot_index.size(); ++c) {
-            Slot &slot = slots[slot_index[c]];
-            const ServingRequest &req = queue_[slot.request];
-            ServingOutcome &out = outcomes_[slot.request];
-            ++slot.fed;
-            // The forward that completed prefill indexed the full
-            // prompt in the cache: publish it so later requests with
-            // the same prefix skip their prefill.  (The tree's
-            // reference on the tail block makes this slot's next
-            // decode append copy-on-write.)
-            if (prefix_ && slot.fed == req.prompt.size())
-                prefix_->insert(req.tenantId, req.prompt, *slot.cache);
-            if (want[c] == 0)
-                continue;
-            out.tokens.push_back(slot.sampler->sample(logits[c]));
+        for (SlotBatch::Event &event : events) {
+            ServingOutcome &out = outcomes_[event.id];
             if (c_decoded)
                 c_decoded->add(1);
-            if (out.tokens.size() == 1)
+            if (event.firstToken)
                 out.firstTokenStep = clock.step() + 1;
-            if (out.tokens.size() == req.decodeTokens) {
+            if (event.finished) {
+                out.tokens = std::move(event.tokens);
                 out.finishStep = clock.step() + 1;
-                slot.busy = false;
-                slot.cache.reset();
-                slot.sampler.reset();
                 ++finished;
             }
         }
@@ -315,7 +360,7 @@ ServingEngine::runOn(sim::Simulation &sim)
             obs::JsonWriter w(0);
             w.beginObject()
                 .field("step", clock.step())
-                .field("batch", tokens.size())
+                .field("batch", batch)
                 .endObject();
             trace->completeAt("serving", "serve.step.sim",
                               toSeconds(clock.tickOf(clock.step())) * 1e6,
@@ -359,7 +404,7 @@ ServingEngine::runOn(sim::Simulation &sim)
     stats_.meanOccupancy =
         stats_.executedSteps > 0
             ? double(stats_.forwards) /
-                  double(stats_.executedSteps * slots_)
+                  double(stats_.executedSteps * batch_.size())
             : 0.0;
     stats_.meanQueueSeconds = queue_acc.mean();
     // Percentiles via the shared sim::Histogram quantile API (one

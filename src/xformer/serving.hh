@@ -11,6 +11,10 @@
  * carry prefill tokens of a fresh request next to decode tokens of
  * half-finished ones.
  *
+ * SlotBatch is that slot stepper; ServingEngine wraps one in a FIFO
+ * queue and a step clock, and serve::ServingRouter runs one per shard
+ * (plus a one-slot batch for each health probe).
+ *
  * The step clock uses the same slot semantics as ContinuousBatcher with
  * unit token timings, so the two can be cross-checked on one trace:
  * ServingEngine on {arrivalStep, prompt of p, d decode tokens} produces
@@ -30,6 +34,7 @@
 
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "xformer/engine.hh"
@@ -63,24 +68,19 @@ struct ServingRequest
 };
 
 /**
- * Validate a sampling policy against a model: the temperature must be
- * finite and non-negative (the Sampler would otherwise panic or
- * produce scan-order-dependent draws) and topK must not exceed the
- * vocabulary.  Returns None or InvalidSampler; an invalid config emits
- * a rate-limited warn so misbehaving clients are visible without
- * flooding stderr.
+ * Validate the request fields every serving front end shares, in this
+ * order: prompt non-empty, decodeTokens >= 1, prompt in-vocab, and a
+ * sampler whose temperature is finite and non-negative (the Sampler
+ * would otherwise panic or produce scan-order-dependent draws) and
+ * whose topK fits the vocabulary.  Returns None or the first violated
+ * rule; an invalid sampler emits a rate-limited warn so misbehaving
+ * clients are visible without flooding stderr.  ServingEngine and
+ * serve::ServingRouter both call it before their queue checks.
  */
-RejectReason validateSamplerConfig(const SamplerConfig &sampler,
+RejectReason validateRequestFields(const std::vector<std::size_t> &prompt,
+                                   std::size_t decode_tokens,
+                                   const SamplerConfig &sampler,
                                    std::size_t vocab_size);
-
-/**
- * Validate everything about a request that does not depend on queue
- * state: prompt non-empty and in-vocab, decodeTokens >= 1, sampler
- * valid.  Returns None or the first violated rule, in the order the
- * RejectReason enumerators are declared.
- */
-RejectReason validateServingRequest(const ServingRequest &request,
-                                    std::size_t vocab_size);
 
 /** Completion record for one served request. */
 struct ServingOutcome
@@ -146,12 +146,112 @@ struct ServingStats
 };
 
 /**
- * Continuous-batching front end for one Engine.
+ * The one continuous-batching slot stepper: a fixed set of slots over a
+ * borrowed Engine and optional PrefixCache.  ServingEngine, every
+ * serve::ServingRouter shard and the router's health probe step it.
+ * Not thread-safe; batches over distinct engines may step concurrently.
+ */
+class SlotBatch
+{
+  public:
+    /** One token sampled by step(). */
+    struct Event
+    {
+        std::size_t id = 0; //!< caller id given to admit()
+        bool firstToken = false;
+        /** Last token: the slot was released, its tokens moved here. */
+        bool finished = false;
+        std::vector<std::size_t> tokens;
+    };
+
+    /** @param prefix optional, bound to engine.kvPool() */
+    SlotBatch(Engine &engine, std::size_t slots,
+              PrefixCache *prefix = nullptr);
+
+    /**
+     * Put a request into the lowest free slot.  With a prefix cache,
+     * the longest cached prefix of @p prompt in @p prefix_tenant's tree
+     * (capped at |prompt| - 1: the last prompt token's logits seed the
+     * sampler) is adopted and its prefill skipped.  @p prompt is
+     * borrowed while the slot is busy; @p lora is the resolved tenant
+     * adapter (null = base model).
+     * @return the matched (skipped) prompt tokens
+     */
+    std::size_t admit(std::size_t id,
+                      const std::vector<std::size_t> &prompt,
+                      std::size_t decode_tokens,
+                      const SamplerConfig &sampler, std::uint64_t seed,
+                      std::size_t prefix_tenant, const LoraSet *lora);
+
+    /**
+     * One forwardTokenBatch over the busy slots (at least one): a
+     * prompt token while prefilling, the last sampled token while
+     * decoding, logits only where they feed the sampler.  A forward
+     * that completes a prompt inserts it into the prefix cache unless
+     * the slot's cache predates a rebind().  A non-empty @p span_name
+     * wraps exactly the forward in a span with args {clock_step,
+     * batch}.
+     * @return this step's events in slot order, valid until the next
+     *         step(); the caller may move their tokens out
+     */
+    std::vector<Event> &step(std::size_t clock_step,
+                             std::string_view span_cat = {},
+                             std::string_view span_name = {});
+
+    /** Free a busy slot (cancel, failover); returns its tokens. */
+    std::vector<std::size_t> release(std::size_t slot);
+
+    /**
+     * Step on a rebuilt engine and its prefix cache from now on.
+     * In-flight caches stay in the old pool (kept alive by their
+     * shared_ptr); only a functionally identical engine (a
+     * spare-repaired fault) keeps their decode correct.
+     */
+    void rebind(Engine &engine, PrefixCache *prefix);
+
+    std::size_t size() const { return slots_.size(); }
+    bool busy(std::size_t slot) const { return slots_[slot].busy; }
+    std::size_t requestId(std::size_t slot) const
+    {
+        return slots_[slot].id;
+    }
+    std::size_t busySlots() const;
+    std::size_t freeSlots() const { return size() - busySlots(); }
+    PrefixCache *prefixCache() const { return prefix_; }
+
+  private:
+    struct Slot
+    {
+        bool busy = false;
+        std::size_t id = 0;
+        const std::vector<std::size_t> *prompt = nullptr;
+        std::size_t decodeTokens = 0;
+        std::size_t prefixTenant = 0;
+        std::size_t fed = 0; //!< forwards already issued
+        const LoraSet *lora = nullptr;
+        std::optional<KvCache> cache;
+        std::optional<Sampler> sampler;
+        std::vector<std::size_t> tokens;
+    };
+
+    Engine *engine_ = nullptr;
+    PrefixCache *prefix_ = nullptr;
+    std::vector<Slot> slots_;
+    // Gather buffers reused by every step.
+    std::vector<std::size_t> tokens_;
+    std::vector<KvCache *> caches_;
+    std::vector<std::uint8_t> want_;
+    std::vector<const LoraSet *> loras_;
+    std::vector<std::size_t> active_;
+    std::vector<Event> events_;
+};
+
+/**
+ * Continuous-batching front end for one Engine: a FIFO queue, the step
+ * clock and run statistics around one SlotBatch.
  *
  * Not thread-safe; run() drives the borrowed engine, which must not be
- * used elsewhere while serving.  Each slot owns a per-request KvCache
- * (capacity-hinted to prompt + decode, so appends never reallocate) and
- * a per-request Sampler.
+ * used elsewhere while serving.
  */
 class ServingEngine
 {
@@ -160,13 +260,9 @@ class ServingEngine
      * @param engine borrowed executor; must outlive the serving engine
      * @param slots concurrent sequences; 0 reads the engine's
      *        ExecOptions::batchSlots default
-     * @param prefix optional cross-request prefix cache; must be bound
-     *        to this engine's kvPool() and outlive the serving engine.
-     *        On admission, the longest cached prefix of the prompt
-     *        (capped at prompt size - 1) is adopted into the slot's
-     *        cache and prefill starts at the matched length; completed
-     *        prefills are inserted back.  Decoded tokens stay
-     *        bit-identical to unshared serving (tests/test_prefix.cc).
+     * @param prefix optional cross-request prefix cache (see SlotBatch)
+     *        bound to this engine's kvPool(); decoded tokens stay
+     *        bit-identical to unshared serving (tests/test_prefix.cc)
      */
     explicit ServingEngine(Engine &engine, std::size_t slots = 0,
                            PrefixCache *prefix = nullptr);
@@ -189,16 +285,9 @@ class ServingEngine
      * arrival-sorted, the same contract ContinuousBatcher::serve
      * enforces).  An invalid request is refused with a typed reason and
      * the queue is untouched -- serving front ends shed it instead of
-     * crashing.
+     * crashing.  The id is the enqueue order, stable across run().
      */
     EnqueueResult tryEnqueue(ServingRequest request);
-
-    /**
-     * Legacy fatal wrapper around tryEnqueue(): a rejected request is a
-     * hard configuration error here.
-     * @return the request id (enqueue order, stable across run())
-     */
-    std::size_t enqueue(ServingRequest request);
 
     /**
      * Serve every queued request to completion and clear the queue.
@@ -226,26 +315,12 @@ class ServingEngine
      */
     std::string metricsJson() const;
 
-    std::size_t slotCount() const { return slots_; }
+    std::size_t slotCount() const { return batch_.size(); }
     std::size_t queuedRequests() const { return queue_.size(); }
 
   private:
-    /** In-flight state of one slot. */
-    struct Slot
-    {
-        bool busy = false;
-        std::size_t request = 0;   //!< queue index
-        std::size_t fed = 0;       //!< forwards already issued
-        /** Tenant adapter resolved at admission (null = base model). */
-        const LoraSet *lora = nullptr;
-        std::optional<KvCache> cache;
-        std::optional<Sampler> sampler;
-    };
-
     Engine &engine_;
-    std::size_t slots_;
-    /** Borrowed cross-request prefix cache; null disables sharing. */
-    PrefixCache *prefix_;
+    SlotBatch batch_;
     LoraRegistry loraRegistry_;
     std::vector<ServingRequest> queue_;
     std::size_t nextId_ = 0;

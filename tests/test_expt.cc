@@ -371,7 +371,8 @@ TEST(MultiTenant, BitIdenticalToSoloAcrossKernelsAndThreads)
                     req.sampler = r.sampler;
                     req.seed = r.seed;
                     req.tenantId = r.tenantId;
-                    serving.enqueue(std::move(req));
+                    ASSERT_TRUE(
+                        serving.tryEnqueue(std::move(req)).admitted());
                 }
                 const auto outcomes = serving.run();
                 ASSERT_EQ(outcomes.size(), trace.size());
@@ -483,7 +484,7 @@ TEST(MultiTenant, PrefixHitsNeverCrossTenants)
     };
 
     // Run 1 (tenant 0): cold, inserts the prompt under tenant 0.
-    serving.enqueue(request_as(0));
+    ASSERT_TRUE(serving.tryEnqueue(request_as(0)).admitted());
     serving.run();
     EXPECT_EQ(serving.stats().prefixHits, 0u);
     EXPECT_EQ(serving.stats().prefixMisses, 1u);
@@ -491,18 +492,18 @@ TEST(MultiTenant, PrefixHitsNeverCrossTenants)
     // Run 2 (tenant 1, identical prompt): MUST miss -- tenant 1's KV
     // depends on its adapter from layer 1 on, so tenant 0's cached
     // prefix would serve wrong hidden state.
-    serving.enqueue(request_as(1));
+    ASSERT_TRUE(serving.tryEnqueue(request_as(1)).admitted());
     serving.run();
     EXPECT_EQ(serving.stats().prefixHits, 0u);
     EXPECT_EQ(serving.stats().prefixMisses, 1u);
 
     // Runs 3 and 4: each tenant re-serving its own prompt hits.
-    serving.enqueue(request_as(0));
+    ASSERT_TRUE(serving.tryEnqueue(request_as(0)).admitted());
     serving.run();
     EXPECT_EQ(serving.stats().prefixHits, 1u);
     EXPECT_GT(serving.stats().prefixMatchedTokens, 0u);
 
-    serving.enqueue(request_as(1));
+    ASSERT_TRUE(serving.tryEnqueue(request_as(1)).admitted());
     serving.run();
     EXPECT_EQ(serving.stats().prefixHits, 1u);
 }

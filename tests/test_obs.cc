@@ -263,7 +263,7 @@ TEST(Serving, TracedRunBitIdenticalAndSpansFourSubsystems)
             req.prompt = prompts[i];
             req.decodeTokens = decodes[i];
             req.seed = i;
-            serving.enqueue(req);
+            EXPECT_TRUE(serving.tryEnqueue(req).admitted());
         }
         const auto outcomes = serving.run();
         std::vector<std::vector<std::size_t>> tokens;
@@ -321,7 +321,7 @@ TEST(Serving, TracedRunBitIdenticalAndSpansFourSubsystems)
     ServingRequest req;
     req.prompt = {1};
     req.decodeTokens = 2;
-    serving.enqueue(req);
+    ASSERT_TRUE(serving.tryEnqueue(req).admitted());
     serving.run();
     const obs::JsonValue mj = parseJson(serving.metricsJson());
     EXPECT_EQ(mj["requests"].asDouble(), 1.0);

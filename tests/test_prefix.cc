@@ -290,7 +290,7 @@ TEST(PrefixServing, SharedVsUnsharedBitIdentity)
             PrefixCache prefix(engine.kvPool());
             ServingEngine serving(engine, 0, &prefix);
             for (const ServingRequest &req : trace)
-                serving.enqueue(req);
+                ASSERT_TRUE(serving.tryEnqueue(req).admitted());
             const auto outcomes = serving.run();
 
             ASSERT_EQ(outcomes.size(), trace.size());
@@ -337,7 +337,7 @@ TEST(PrefixServing, SkipsPrefillForwardsAndKeepsTokens)
         ServingEngine serving(engine, 0,
                               prefix ? &*prefix : nullptr);
         for (const ServingRequest &req : trace)
-            serving.enqueue(req);
+            EXPECT_TRUE(serving.tryEnqueue(req).admitted());
         const auto outcomes = serving.run();
         std::vector<std::vector<std::size_t>> tokens;
         for (const auto &out : outcomes)
@@ -377,7 +377,7 @@ TEST(PrefixServing, EvictionUnderLiveTrafficIsDeterministic)
         PrefixCache prefix(engine.kvPool());
         ServingEngine serving(engine, 0, &prefix);
         for (const ServingRequest &req : trace)
-            serving.enqueue(req);
+            EXPECT_TRUE(serving.tryEnqueue(req).admitted());
         const auto outcomes = serving.run();
         std::vector<std::vector<std::size_t>> tokens;
         for (const auto &out : outcomes)

@@ -8,9 +8,10 @@
  *
  * Registered under ctest label `router`; scripts/tier1.sh additionally
  * runs it under ThreadSanitizer (run() steps shards on concurrent
- * threads) and UndefinedBehaviorSanitizer.  No death tests here --
- * EXPECT_DEATH forks don't mix with TSan; the fatal-wrapper death
- * tests live in test_xformer.cc.
+ * threads), AddressSanitizer (a spare-repaired shard keeps decoding
+ * in-flight caches whose blocks live in the retired engine's pool) and
+ * UndefinedBehaviorSanitizer.  No death tests here -- EXPECT_DEATH
+ * forks don't mix with TSan.
  */
 
 #include <gtest/gtest.h>
@@ -24,7 +25,9 @@
 #include "obs/trace.hh"
 #include "serve/router.hh"
 #include "xformer/engine.hh"
+#include "xformer/prefix_cache.hh"
 #include "xformer/sampler.hh"
+#include "xformer/serving.hh"
 
 namespace hnlpu::serve {
 namespace {
@@ -184,6 +187,81 @@ TEST(Router, CleanRunBitIdenticalToSoloGenerate)
     EXPECT_EQ(router.stats().completed, trace.size());
     EXPECT_EQ(router.stats().failovers, 0u);
     EXPECT_FALSE(router.degradedMode());
+}
+
+TEST(Router, OneShardCleanRouterMatchesServingEngineStepForStep)
+{
+    // Batch-only traffic without deadlines or faults leaves a one-shard
+    // router no policy to apply, so it must schedule exactly like a
+    // ServingEngine: both step the same SlotBatch.  A shared prompt
+    // prefix with the prefix cache on makes admissions both hit and
+    // miss, and two slots make requests queue.
+    const auto cfg = tinyTestModel();
+    const auto clean = ModelWeights::randomInit(cfg, 131);
+    constexpr std::size_t kSlots = 2;
+    ExecOptions exec;
+    exec.batchSlots = kSlots;
+    exec.kvBlockTokens = 4;
+
+    const std::vector<std::size_t> shared = {3, 1, 4, 1, 5, 9, 2, 6, 5};
+    const std::size_t arrivals[] = {0, 0, 5, 12, 12, 13, 20, 30};
+    std::vector<RouterRequest> trace;
+    for (std::size_t i = 0; i < std::size(arrivals); ++i) {
+        std::vector<std::size_t> prompt = shared;
+        for (std::size_t t = 0; t < 1 + i % 3; ++t)
+            prompt.push_back((7 + 5 * i + t) % cfg.vocabSize);
+        trace.push_back(makeRequest(std::move(prompt), 2 + i % 4,
+                                    RequestClass::Batch, arrivals[i]));
+        trace.back().sampler = {0.8, 0};
+        trace.back().seed = 500 + i;
+    }
+
+    Engine engine(cfg, clean, ExecPath::Reference, 8, exec);
+    PrefixCache prefix(engine.kvPool());
+    ServingEngine serving(engine, kSlots, &prefix);
+    for (const RouterRequest &req : trace) {
+        ServingRequest sr;
+        sr.prompt = req.prompt;
+        sr.decodeTokens = req.decodeTokens;
+        sr.arrivalStep = req.arrivalStep;
+        sr.sampler = req.sampler;
+        sr.seed = req.seed;
+        ASSERT_TRUE(serving.tryEnqueue(sr).admitted());
+    }
+    const auto served = serving.run();
+
+    RouterConfig rc;
+    rc.shards = 1;
+    rc.slotsPerShard = kSlots;
+    rc.prefixCache = true;
+    ServingRouter router(cfg, clean, ExecPath::Reference, 8, exec, rc);
+    for (const RouterRequest &req : trace)
+        ASSERT_TRUE(router.enqueue(req).admitted());
+    const auto routed = router.run();
+
+    ASSERT_EQ(served.size(), trace.size());
+    ASSERT_EQ(routed.size(), trace.size());
+    bool queued = false;
+    for (std::size_t i = 0; i < trace.size(); ++i) {
+        EXPECT_EQ(routed[i].status, RequestStatus::Completed);
+        EXPECT_EQ(routed[i].tokens, served[i].tokens) << "request " << i;
+        EXPECT_EQ(routed[i].admitStep, served[i].admitStep)
+            << "request " << i;
+        EXPECT_EQ(routed[i].firstTokenStep, served[i].firstTokenStep)
+            << "request " << i;
+        EXPECT_EQ(routed[i].finishStep, served[i].finishStep)
+            << "request " << i;
+        queued = queued || served[i].admitStep > served[i].arrivalStep;
+    }
+    EXPECT_TRUE(queued);
+    const ServingStats &ss = serving.stats();
+    const RouterStats &rs = router.stats();
+    EXPECT_GT(ss.prefixHits, 0u);
+    EXPECT_GT(ss.prefixMisses, 0u);
+    EXPECT_EQ(rs.prefixHits, ss.prefixHits);
+    EXPECT_EQ(rs.prefixMisses, ss.prefixMisses);
+    EXPECT_EQ(rs.prefixMatchedTokens, ss.prefixMatchedTokens);
+    EXPECT_EQ(rs.executedSteps, ss.executedSteps);
 }
 
 // -- Live fault injection during serving ----------------------------------

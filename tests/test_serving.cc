@@ -449,7 +449,8 @@ TEST(Serving, BatchedDecodeBitIdenticalToSequentialGenerate)
                         req.decodeTokens = r.decode;
                         req.sampler = r.sampler;
                         req.seed = r.seed;
-                        serving.enqueue(req);
+                        ASSERT_TRUE(
+                            serving.tryEnqueue(req).admitted());
                     }
                     const auto outcomes = serving.run();
                     ASSERT_EQ(outcomes.size(), trace.size());
@@ -493,7 +494,7 @@ TEST(Serving, StepClockMatchesContinuousBatcherOnOneTrace)
             req.prompt.assign(it.p, 1);
             req.decodeTokens = it.d;
             req.arrivalStep = it.arrival;
-            serving.enqueue(req);
+            ASSERT_TRUE(serving.tryEnqueue(req).admitted());
         }
         const auto outcomes = serving.run();
 
@@ -539,7 +540,7 @@ TEST(Serving, RunOnSharedClockBitIdenticalToPrivateRun)
             req.decodeTokens = 1 + i;
             req.arrivalStep = arrivals[i];
             req.seed = 1000 + i;
-            serving.enqueue(req);
+            ASSERT_TRUE(serving.tryEnqueue(req).admitted());
         }
     };
 
@@ -583,7 +584,7 @@ TEST(Serving, StatsAndMetricsJsonAreConsistent)
         ServingRequest req;
         req.prompt.assign(p, 2);
         req.decodeTokens = d;
-        serving.enqueue(req);
+        ASSERT_TRUE(serving.tryEnqueue(req).admitted());
         expected_forwards += p + d - 1;
         expected_decoded += d;
     }

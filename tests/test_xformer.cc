@@ -18,7 +18,6 @@
 #include "xformer/moe.hh"
 #include "xformer/ops.hh"
 #include "xformer/sampler.hh"
-#include "xformer/serving.hh"
 #include "xformer/tensor.hh"
 #include "xformer/weights.hh"
 
@@ -538,46 +537,6 @@ TEST(EngineTest, EmptyPromptAndShortScoreSequenceAreFatal)
     // Scoring needs a predicted token and at least one predictor.
     EXPECT_DEATH(engine.scoreSequence({}), ">= 2 tokens");
     EXPECT_DEATH(engine.scoreSequence({3}), ">= 2 tokens");
-}
-
-TEST(ServingDeath, FatalEnqueueWrapperTranslatesTypedRejections)
-{
-    // The router sheds invalid traffic via tryEnqueue's typed reasons;
-    // the legacy fatal wrapper must keep dying with the reason's
-    // stable name in the message.
-    const auto cfg = tinyTestModel();
-    const auto weights = ModelWeights::randomInit(cfg, 11);
-    Engine engine(cfg, weights, ExecPath::Reference);
-    ServingEngine serving(engine);
-
-    ServingRequest empty;
-    empty.decodeTokens = 2;
-    EXPECT_DEATH(serving.enqueue(empty), "empty_prompt");
-
-    ServingRequest zero;
-    zero.prompt = {1};
-    EXPECT_DEATH(serving.enqueue(zero), "zero_decode_tokens");
-
-    ServingRequest oov;
-    oov.prompt = {cfg.vocabSize};
-    oov.decodeTokens = 1;
-    EXPECT_DEATH(serving.enqueue(oov), "token_out_of_vocab");
-
-    ServingRequest bad_sampler;
-    bad_sampler.prompt = {1};
-    bad_sampler.decodeTokens = 1;
-    bad_sampler.sampler.temperature = -1.0;
-    EXPECT_DEATH(serving.enqueue(bad_sampler), "invalid_sampler");
-
-    ServingRequest ok;
-    ok.prompt = {1};
-    ok.decodeTokens = 1;
-    ok.arrivalStep = 5;
-    serving.enqueue(ok);
-    ServingRequest backwards = ok;
-    backwards.arrivalStep = 4;
-    EXPECT_DEATH(serving.enqueue(backwards),
-                 "arrival_order_violation");
 }
 
 } // namespace
