@@ -1,5 +1,6 @@
 #include "arith/quantize.hh"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/logging.hh"
@@ -9,10 +10,18 @@ namespace hnlpu {
 QuantizedVector
 quantizeSymmetric(const std::vector<double> &reals, unsigned width)
 {
-    hnlpu_assert(width >= 2 && width <= 32, "bad quantise width ", width);
     QuantizedVector q;
-    q.width = width;
-    q.values.resize(reals.size());
+    quantizeSymmetric(reals, width, q);
+    return q;
+}
+
+void
+quantizeSymmetric(std::span<const double> reals, unsigned width,
+                  QuantizedVector &out)
+{
+    hnlpu_assert(width >= 2 && width <= 32, "bad quantise width ", width);
+    out.width = width;
+    out.values.resize(reals.size());
 
     double abs_max = 0.0;
     for (double r : reals)
@@ -20,15 +29,14 @@ quantizeSymmetric(const std::vector<double> &reals, unsigned width)
 
     const double max_code =
         static_cast<double>((std::int64_t(1) << (width - 1)) - 1);
-    q.scale = abs_max > 0.0 ? abs_max / max_code : 1.0;
+    out.scale = abs_max > 0.0 ? abs_max / max_code : 1.0;
 
     for (std::size_t i = 0; i < reals.size(); ++i) {
-        double code = std::nearbyint(reals[i] / q.scale);
+        double code = std::nearbyint(reals[i] / out.scale);
         code = std::min(code, max_code);
         code = std::max(code, -max_code - 1.0);
-        q.values[i] = static_cast<std::int64_t>(code);
+        out.values[i] = static_cast<std::int64_t>(code);
     }
-    return q;
 }
 
 std::vector<double>

@@ -13,6 +13,7 @@
 #define HNLPU_ARITH_QUANTIZE_HH
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 namespace hnlpu {
@@ -32,6 +33,13 @@ struct QuantizedVector
  */
 QuantizedVector quantizeSymmetric(const std::vector<double> &reals,
                                   unsigned width);
+
+/**
+ * quantizeSymmetric into @p out, reusing its buffer: a caller that
+ * quantises columns of one length every step allocates nothing.
+ */
+void quantizeSymmetric(std::span<const double> reals, unsigned width,
+                       QuantizedVector &out);
 
 /** Reconstitute reals from a quantised vector. */
 std::vector<double> dequantize(const QuantizedVector &q);

@@ -3,12 +3,13 @@
  * Deterministic fork-join thread pool for the functional engine.
  *
  * The HNLPU derives its throughput from massive spatial parallelism
- * across the Sea-of-Neurons array; on the host, the software analogue is
- * row/expert/head-level data parallelism.  This pool is deliberately
- * work-stealing-free: every parallelFor() statically partitions [0, n)
- * into contiguous chunks, so each worker touches a disjoint slice of
- * the output and parallel execution is bit-exactly equal to serial
- * execution (see DESIGN.md "Threading model & determinism").
+ * across the Sea-of-Neurons array; on the host, the software analogue
+ * is row, (expert, row-tile) and (sequence, head) data parallelism.
+ * This pool is deliberately work-stealing-free: every parallelFor()
+ * statically partitions [0, n) into contiguous chunks, so each worker
+ * touches a disjoint slice of the output and parallel execution is
+ * bit-exactly equal to serial execution (see DESIGN.md "Threading
+ * model & determinism").
  *
  * Chunk selection is work-size aware: the number of chunks is the
  * minimum of the pool width, the online CPU count (oversubscribing a
@@ -20,10 +21,10 @@
  * threads.  Chunk boundaries depend only on (n, chunks, align), never
  * on timing.
  *
- * Nested parallelFor() calls (e.g. a row-parallel Linear inside an
- * expert-parallel MoE) are detected via a thread-local flag and run
- * inline on the calling thread, so the pool can never deadlock on
- * itself.
+ * Nested parallelFor() calls (e.g. a row-parallel Linear::forwardBatch
+ * called from a task already running on the pool) are detected via a
+ * thread-local flag and run inline on the calling thread, so the pool
+ * can never deadlock on itself.
  */
 
 #ifndef HNLPU_COMMON_THREAD_POOL_HH

@@ -1,7 +1,6 @@
 #include "hn/hn_array.hh"
 
 #include <algorithm>
-#include <optional>
 #include <utility>
 
 #include "common/logging.hh"
@@ -32,6 +31,41 @@ struct alignas(64) ActivityShard
 constexpr std::size_t kRowAlign = 8;
 
 } // namespace
+
+HnColumns
+HnColumns::slice(std::size_t first, std::size_t n) const
+{
+    hnlpu_assert(first + n <= count, "column slice [", first, ", ",
+                 first + n, ") outside ", count);
+    HnColumns view = *this;
+    view.values += first;
+    if (planes)
+        view.planes += first;
+    view.count = n;
+    return view;
+}
+
+void
+parallelRows(
+    ThreadPool *pool, std::size_t rows, HnActivity *activity,
+    const std::function<void(std::size_t, std::size_t, HnActivity *)>
+        &body,
+    std::size_t grain)
+{
+    std::vector<ActivityShard> shards;
+    if (activity)
+        shards.resize(pool ? pool->threadCount() : 1);
+    parallelForChunked(
+        pool, rows,
+        [&](std::size_t chunk, std::size_t begin, std::size_t end) {
+            body(begin, end, activity ? &shards[chunk].value : nullptr);
+        },
+        grain, kRowAlign);
+    if (activity) {
+        for (const ActivityShard &shard : shards)
+            activity->add(shard.value);
+    }
+}
 
 HnArray::HnArray(const SeaOfNeuronsTemplate &tmpl,
                  const std::vector<Fp4> &weights_row_major,
@@ -91,82 +125,149 @@ HnArray::gemmSerial(
     HnKernel kernel, HnScratchArena *arena) const
 {
     const std::size_t batch = activations.size();
-    std::vector<std::int64_t> out(neurons_.size() * batch);
-    if (batch == 0)
-        return out;
+    HnScratchLease lease(arena);
+    HnScratch &scratch = lease.get();
+    scratch.ensureSlots(batch);
+    const HnColumns cols = columnsView(scratch, batch, width, kernel);
     for (std::size_t b = 0; b < batch; ++b) {
         hnlpu_assert(activations[b].size() == cols_,
                      "batch column ", b, " size ", activations[b].size(),
                      " != array cols ", cols_);
+        scratch.quantized[b].values = activations[b];
+        buildPlanes(scratch, b, width, kernel);
     }
+    return evaluateAll(cols, pool, activity);
+}
 
-    // Packed/Simd kernels: serialise every column at most once --
-    // per-column CachedPlanes skip even that when a recycled scratch
-    // already holds that column (the engine feeds one column to
-    // several projections back to back).  The planes are immutable for
-    // the lifetime of the GEMM and shared read-only by all row workers
-    // without synchronisation.
-    std::optional<HnScratchLease> lease;
-    std::vector<const PackedPlanes *> planes;
+HnColumns
+HnArray::prepareColumns(HnScratch &scratch, std::size_t count,
+                        std::size_t dim, unsigned width, HnKernel kernel,
+                        ThreadPool *pool)
+{
+    const HnColumns cols = columnsView(scratch, count, width, kernel);
+    const auto prepare = [&](std::size_t b) {
+        quantizeSymmetric({scratch.columns[b], dim}, width,
+                          scratch.quantized[b]);
+        buildPlanes(scratch, b, width, kernel);
+    };
+    // The body captures one reference, so its std::function stays in
+    // the small buffer and preparing allocates nothing.
+    parallelFor(pool, count,
+                [&prepare](std::size_t begin, std::size_t end) {
+        for (std::size_t b = begin; b < end; ++b)
+            prepare(b);
+    });
+    return cols;
+}
+
+void
+HnArray::buildPlanes(HnScratch &scratch, std::size_t slot, unsigned width,
+                     HnKernel kernel)
+{
     if (kernel != HnKernel::Scalar) {
-        lease.emplace(arena);
-        auto &batch_planes = lease->get().batchPlanes;
-        if (batch_planes.size() < batch)
-            batch_planes.resize(batch);
-        planes.resize(batch);
-        for (std::size_t b = 0; b < batch; ++b)
-            planes[b] = &batch_planes[b].ensure(activations[b], width);
+        scratch.planes[slot] = &scratch.batchPlanes[slot].ensure(
+            scratch.quantized[slot].values, width);
     }
+}
 
-    // Each worker owns a disjoint, cache-line-aligned row range of
-    // `out` and a padded activity shard; the shards are folded after
-    // the join (exact integer sums, so shard-then-merge is bit-exact).
-    std::vector<ActivityShard> shards;
-    if (activity)
-        shards.resize(pool ? pool->threadCount() : 1);
+HnColumns
+HnArray::columnsView(HnScratch &scratch, std::size_t count,
+                     unsigned width, HnKernel kernel)
+{
+    hnlpu_assert(count <= scratch.batchPlanes.size(), "scratch holds ",
+                 scratch.batchPlanes.size(), " slots, columns need ",
+                 count);
+    HnColumns cols;
+    cols.values = scratch.quantized.data();
+    // The planes are immutable once built and shared read-only by
+    // every row worker without synchronisation.  Their pointers are
+    // in place once the slots are built.
+    if (kernel != HnKernel::Scalar)
+        cols.planes = scratch.planes.data();
+    cols.count = count;
+    cols.width = width;
+    cols.kernel = kernel;
+    return cols;
+}
 
-    parallelForChunked(
-        pool, neurons_.size(),
-        [&](std::size_t chunk, std::size_t begin, std::size_t end) {
-            HnActivity *local =
-                activity ? &shards[chunk].value : nullptr;
-            for (std::size_t r = begin; r < end; ++r) {
-                std::int64_t *row_out = out.data() + r * batch;
-                // A dead neuron drives 0 and toggles nothing; the mask
-                // is per-row state, so the parallel result stays
-                // bit-exact.
-                if (rowDead(r)) {
-                    for (std::size_t b = 0; b < batch; ++b)
-                        row_out[b] = 0;
-                } else if (!planes.empty()) {
-                    for (std::size_t b0 = 0; b0 < batch;
-                         b0 += kHnBatchChunk) {
-                        const std::size_t cols =
-                            std::min(kHnBatchChunk, batch - b0);
-                        if (kernel == HnKernel::Simd)
-                            neurons_[r].computeSimdBatch(
-                                planes.data() + b0, cols, row_out + b0,
-                                local);
-                        else
-                            neurons_[r].computePackedBatch(
-                                planes.data() + b0, cols, row_out + b0,
-                                local);
-                    }
-                } else {
-                    for (std::size_t b = 0; b < batch; ++b) {
-                        row_out[b] = neurons_[r].computeSerial(
-                            activations[b], width, local);
-                    }
+std::vector<std::int64_t>
+HnArray::evaluateAll(const HnColumns &cols, ThreadPool *pool,
+                     HnActivity *activity) const
+{
+    std::vector<std::int64_t> out(neurons_.size() * cols.count);
+    parallelRows(pool, neurons_.size(), activity,
+                 [&](std::size_t begin, std::size_t end,
+                     HnActivity *local) {
+        evaluateRows(cols, begin, end, out.data() + begin * cols.count,
+                     local);
+    });
+    return out;
+}
+
+void
+HnArray::evaluateRows(const HnColumns &cols, std::size_t begin,
+                      std::size_t end, std::int64_t *out,
+                      HnActivity *activity) const
+{
+    hnlpu_assert(begin <= end && end <= neurons_.size(), "rows [", begin,
+                 ", ", end, ") outside ", neurons_.size());
+    const std::size_t batch = cols.count;
+    for (std::size_t r = begin; r < end; ++r) {
+        std::int64_t *row_out = out + (r - begin) * batch;
+        // A dead neuron drives 0 and toggles nothing; the mask is
+        // per-row state, so any row partition stays bit-exact.
+        if (rowDead(r)) {
+            std::fill(row_out, row_out + batch, 0);
+        } else if (cols.kernel == HnKernel::Scalar) {
+            for (std::size_t b = 0; b < batch; ++b) {
+                row_out[b] = neurons_[r].computeSerial(
+                    cols.values[b].values, cols.width, activity);
+            }
+        } else {
+            for (std::size_t b0 = 0; b0 < batch; b0 += kHnBatchChunk) {
+                const std::size_t n = std::min(kHnBatchChunk, batch - b0);
+                if (cols.kernel == HnKernel::Simd)
+                    neurons_[r].computeSimdBatch(cols.planes + b0, n,
+                                                 row_out + b0, activity);
+                else
+                    neurons_[r].computePackedBatch(
+                        cols.planes + b0, n, row_out + b0, activity);
+            }
+        }
+    }
+}
+
+void
+HnArray::evaluateRowsReal(const HnColumns &cols, std::size_t begin,
+                          std::size_t end, double *out, std::size_t stride,
+                          HnActivity *activity) const
+{
+    hnlpu_assert(stride >= neurons_.size(), "output stride ", stride,
+                 " below ", neurons_.size(), " rows");
+    // Blocks of kRowBlock rows by kHnBatchChunk columns (the width of
+    // one batched kernel call) are evaluated into a stack buffer and
+    // dequantised from there.
+    constexpr std::size_t kRowBlock = 16;
+    std::int64_t ints[kRowBlock * kHnBatchChunk];
+    for (std::size_t r0 = begin; r0 < end; r0 += kRowBlock) {
+        const std::size_t r1 = std::min(end, r0 + kRowBlock);
+        for (std::size_t b0 = 0; b0 < cols.count; b0 += kHnBatchChunk) {
+            const std::size_t n = std::min(kHnBatchChunk, cols.count - b0);
+            const HnColumns chunk = cols.slice(b0, n);
+            evaluateRows(chunk, r0, r1, ints, activity);
+            for (std::size_t b = 0; b < n; ++b) {
+                // Weights contribute 2*w, so fold the missing 1/2 into
+                // the column's scale.
+                const double scale = chunk.values[b].scale * 0.5;
+                double *const col_out = out + (b0 + b) * stride;
+                for (std::size_t r = r0; r < r1; ++r) {
+                    col_out[r] =
+                        static_cast<double>(ints[(r - r0) * n + b]) *
+                        scale;
                 }
             }
-        },
-        /*grain=*/1, kRowAlign);
-
-    if (activity) {
-        for (const ActivityShard &shard : shards)
-            activity->add(shard.value);
+        }
     }
-    return out;
 }
 
 std::vector<std::int64_t>
@@ -202,24 +303,29 @@ HnArray::gemmReal(const std::vector<std::vector<double>> &activations,
                   HnKernel kernel, HnScratchArena *arena) const
 {
     const std::size_t batch = activations.size();
-    std::vector<std::vector<std::int64_t>> ints(batch);
-    std::vector<double> scales(batch);
+    HnScratchLease lease(arena);
+    HnScratch &scratch = lease.get();
+    scratch.ensureSlots(batch);
     for (std::size_t b = 0; b < batch; ++b) {
-        QuantizedVector q = quantizeSymmetric(activations[b], width);
-        ints[b] = std::move(q.values);
-        // Weights contribute 2*w, so fold the missing 1/2 into the
-        // per-column scale.
-        scales[b] = q.scale * 0.5;
+        hnlpu_assert(activations[b].size() == cols_,
+                     "batch column ", b, " size ", activations[b].size(),
+                     " != array cols ", cols_);
+        scratch.columns[b] = activations[b].data();
     }
-    const std::vector<std::int64_t> flat =
-        gemmSerial(ints, width, activity, pool, kernel, arena);
-    std::vector<std::vector<double>> out(
-        batch, std::vector<double>(neurons_.size()));
-    for (std::size_t r = 0; r < neurons_.size(); ++r) {
-        for (std::size_t b = 0; b < batch; ++b)
-            out[b][r] =
-                static_cast<double>(flat[r * batch + b]) * scales[b];
-    }
+    const HnColumns cols =
+        prepareColumns(scratch, batch, cols_, width, kernel, pool);
+    const std::size_t rows = neurons_.size();
+    scratch.values.resize(rows * batch);
+    double *const flat = scratch.values.data();
+    parallelRows(pool, rows, activity,
+                 [&](std::size_t begin, std::size_t end,
+                     HnActivity *local) {
+        evaluateRowsReal(cols, begin, end, flat, rows, local);
+    });
+    std::vector<std::vector<double>> out;
+    out.reserve(batch);
+    for (std::size_t b = 0; b < batch; ++b)
+        out.emplace_back(flat + b * rows, flat + (b + 1) * rows);
     return out;
 }
 

@@ -10,7 +10,11 @@
  *    path, one weight traversal for every column, and a reference GEMV,
  *    which must agree); a GEMV is a GEMM of one column;
  *  - a real-valued GEMM that quantises activations, runs the integer
- *    path and dequantises (this is what the transformer engine uses);
+ *    path and dequantises;
+ *  - the two halves every GEMM is made of, for callers that schedule
+ *    rows themselves (Linear, the MoE expert stage): prepareColumns
+ *    quantises and serialises activation columns once, and
+ *    evaluateRows runs rows [begin, end) against them;
  *  - aggregate structural statistics for the physical model.
  */
 
@@ -18,6 +22,7 @@
 #define HNLPU_HN_HN_ARRAY_HH
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -41,6 +46,41 @@ struct HnArrayStats
     std::size_t zeroWeights = 0;    //!< weights requiring no wire
     std::size_t deadRows = 0;       //!< defective, unrepaired neurons
 };
+
+/**
+ * Activation columns prepared for HnArray::evaluateRows: each column
+ * quantised to @p width bits with its own symmetric scale (the Scalar
+ * kernel reads the integers) and, under Packed/Simd, serialised into
+ * bit planes.  A non-owning view of HnScratch slots, so every row of
+ * every array that reads the same columns shares one preparation, and
+ * a column range is another view.
+ */
+struct HnColumns
+{
+    const QuantizedVector *values = nullptr;
+    /** Per-column planes; null under HnKernel::Scalar. */
+    const PackedPlanes *const *planes = nullptr;
+    std::size_t count = 0;
+    unsigned width = 8;
+    HnKernel kernel = HnKernel::Packed;
+
+    /** Columns [first, first + n) of this view. */
+    HnColumns slice(std::size_t first, std::size_t n) const;
+};
+
+/**
+ * Run body(begin, end, activity) over [0, rows) on @p pool (serially
+ * when null) in contiguous chunks whose interior boundaries fall on
+ * 8-row (one cache line of outputs) multiples.  Each chunk gets its
+ * own cache-line-padded HnActivity shard, folded into @p activity
+ * after the join -- exact integer sums, so the totals equal the serial
+ * ones; the body sees null when @p activity is null.
+ */
+void parallelRows(
+    ThreadPool *pool, std::size_t rows, HnActivity *activity,
+    const std::function<void(std::size_t, std::size_t, HnActivity *)>
+        &body,
+    std::size_t grain = 1);
 
 /** A programmed matrix of Hardwired-Neurons. */
 class HnArray
@@ -106,6 +146,44 @@ class HnArray
         ThreadPool *pool = nullptr, HnKernel kernel = HnKernel::Packed,
         HnScratchArena *arena = nullptr) const;
 
+    /**
+     * Quantise the real columns @p scratch.columns[0, count) (each
+     * @p dim values, caller-filled after HnScratch::ensureSlots) into
+     * the scratch's slots, each with its own symmetric @p width-bit
+     * scale, and under Packed/Simd serialise them into the slots'
+     * cached planes (a slot whose planes already match its column
+     * skips the serialisation).  Columns are independent, so with
+     * @p pool each worker prepares its own slots.
+     */
+    static HnColumns prepareColumns(HnScratch &scratch, std::size_t count,
+                                    std::size_t dim, unsigned width,
+                                    HnKernel kernel, ThreadPool *pool);
+
+    /**
+     * The per-row body of every GEMM: rows [begin, end) against every
+     * column of @p cols, row r's result for column b written to
+     * out[(r - begin) * cols.count + b].  A dead row writes 0 and
+     * counts no activity; live rows run the @p cols kernel over
+     * kHnBatchChunk-column chunks.  Rows are independent, so any row
+     * partition of a GEMM is bit-identical to the serial loop.
+     */
+    void evaluateRows(const HnColumns &cols, std::size_t begin,
+                      std::size_t end, std::int64_t *out,
+                      HnActivity *activity) const;
+
+    /**
+     * The per-row body of every real-valued GEMM (gemmReal, Linear,
+     * the MoE expert stage): evaluateRows, then each column
+     * dequantised with its own scale (including the 1/2 from the
+     * twice-value weight convention), row r of column b written to
+     * out[b * stride + r].  Rows go in blocks that stay cache-hot
+     * across their kHnBatchChunk-column chunks; each row's result does
+     * not depend on the block it rides in.
+     */
+    void evaluateRowsReal(const HnColumns &cols, std::size_t begin,
+                          std::size_t end, double *out,
+                          std::size_t stride, HnActivity *activity) const;
+
     /** Reference integer GEMV (oracle). */
     std::vector<std::int64_t> gemvReference(
         const std::vector<std::int64_t> &activations) const;
@@ -119,12 +197,10 @@ class HnArray
                                  HnScratchArena *arena = nullptr) const;
 
     /**
-     * Real-valued GEMM: every activation column is quantised with its
-     * own symmetric @p width-bit scale, the integer batch runs through
-     * gemmSerial's single weight traversal, and each column
-     * dequantises with its own scale (including the 1/2 from the
-     * twice-value weight convention).  @p kernel / @p arena as in
-     * gemmSerial.
+     * Real-valued GEMM: prepareColumns, then evaluateRowsReal over
+     * @p pool row chunks -- one weight traversal for every column,
+     * each column quantised and dequantised with its own symmetric
+     * @p width-bit scale.  @p kernel / @p arena as in gemmSerial.
      * @return one output vector per activation column
      */
     std::vector<std::vector<double>> gemmReal(
@@ -138,6 +214,25 @@ class HnArray
     HnArrayStats stats() const;
 
   private:
+    /**
+     * Serialise the quantised column in @p scratch slot @p slot into
+     * its cached planes (Packed/Simd; a no-op under Scalar).
+     */
+    static void buildPlanes(HnScratch &scratch, std::size_t slot,
+                            unsigned width, HnKernel kernel);
+
+    /** The view of @p scratch slots [0, count). */
+    static HnColumns columnsView(HnScratch &scratch, std::size_t count,
+                                 unsigned width, HnKernel kernel);
+
+    /**
+     * Every row against @p cols on @p pool: the flat rows x cols.count
+     * result of gemmSerial.
+     */
+    std::vector<std::int64_t> evaluateAll(const HnColumns &cols,
+                                          ThreadPool *pool,
+                                          HnActivity *activity) const;
+
     std::size_t cols_ = 0;
     std::size_t zeroWeights_ = 0;
     std::size_t deadRowCount_ = 0;

@@ -24,6 +24,17 @@ threadSlotHome()
 
 } // namespace
 
+void
+HnScratch::ensureSlots(std::size_t slots)
+{
+    if (batchPlanes.size() < slots) {
+        batchPlanes.resize(slots);
+        quantized.resize(slots);
+        planes.resize(slots);
+        columns.resize(slots);
+    }
+}
+
 HnScratchArena::~HnScratchArena()
 {
     for (auto &slot : slots_)

@@ -24,15 +24,16 @@
  * region bits, not words, and zero-skips never change the counters);
  * tests/test_hn_kernel.cc pins this.  Packed is the engine default.
  *
- * HnScratch owns the CachedPlanes buffers of one in-flight GEMM.
- * HnScratchArena recycles scratches across calls and across concurrent
- * callers (e.g. expert-parallel MoE workers) through a lock-free slot
- * array -- acquire/release are a single atomic exchange on the
- * caller's preferred slot in steady state, so leasing never serialises
- * concurrent GEMMs the way the old mutex-guarded freelist did.  The
+ * HnScratch owns the per-column buffers (quantised columns, their
+ * CachedPlanes, staged outputs) of one in-flight GEMM or MoE expert
+ * stage.  HnScratchArena recycles scratches across calls and across
+ * concurrent callers through a lock-free slot array -- acquire/release
+ * are a single atomic exchange on the caller's preferred slot in
+ * steady state, so leasing never serialises concurrent GEMMs the way
+ * the old mutex-guarded freelist did.  The
  * arena hands each caller an exclusive scratch; the PackedPlanes built
  * into it are then shared strictly read-only by the row workers of that
- * one GEMM.
+ * one GEMM or stage.
  */
 
 #ifndef HNLPU_HN_HN_KERNEL_HH
@@ -45,6 +46,7 @@
 #include <vector>
 
 #include "arith/bitserial.hh"
+#include "arith/quantize.hh"
 
 namespace hnlpu {
 
@@ -55,10 +57,9 @@ enum class HnKernel { Scalar, Packed, Simd };
  * A PackedPlanes plus the key it was built from, so rebuilding with an
  * unchanged input column is a comparison instead of a serialisation.
  * The engine feeds the same activation vector to several projections
- * back to back (x into wq/wk/wv, the normed hidden into every routed
- * expert's gate AND up projection), and thread-affine scratch reuse
+ * back to back (x into wq/wk/wv), and thread-affine scratch reuse
  * hands the same scratch back to the same caller -- together those
- * turn most per-GEMV plane builds into cache hits.
+ * turn the repeated plane builds into cache hits.
  *
  * ensure() is exception-safe by ordering: the valid flag drops before
  * the build and is restored only after both the planes and the key are
@@ -101,16 +102,32 @@ class CachedPlanes
     std::size_t buildCount_ = 0;
 };
 
-/** Reusable per-GEMM working memory (exclusively owned while leased). */
+/**
+ * Reusable working memory of one in-flight GEMM or multi-GEMM stage
+ * (exclusively owned while leased).  Every per-column buffer is
+ * indexed by a column slot; all of them grow on demand and never
+ * shrink, so a recycled scratch keeps its buffers across calls and
+ * steady-state decode allocates neither plane words, quantised
+ * columns nor staged outputs.
+ */
 struct HnScratch
 {
     /**
-     * One CachedPlanes per activation column of HnArray::gemmSerial.
-     * Grown on demand and never shrunk, so a recycled scratch keeps
-     * every column's word buffer across calls and steady-state decode
-     * allocates no plane memory.
+     * One CachedPlanes per column slot, so a slot whose column
+     * repeats (x into wq/wk/wv) skips the serialisation.
      */
     std::vector<CachedPlanes> batchPlanes;
+    /** The quantised activation column of each slot. */
+    std::vector<QuantizedVector> quantized;
+    /** Each slot's planes, in the pointer-array form the kernels read. */
+    std::vector<const PackedPlanes *> planes;
+    /** Each slot's real-valued input column (caller-filled). */
+    std::vector<const double *> columns;
+    /** Real-valued staging for the GEMM outputs of the lease holder. */
+    std::vector<double> values;
+
+    /** Grow every per-slot buffer to at least @p slots slots. */
+    void ensureSlots(std::size_t slots);
 };
 
 /**

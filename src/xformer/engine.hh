@@ -31,9 +31,10 @@ namespace hnlpu {
  *
  * threads > 1 makes the engine own a ThreadPool and run its hot paths
  * data-parallel: row-partitioned GEMV in every Linear (both paths),
- * per-expert MoE evaluation and per-head attention.  All partitioning
- * is disjoint-output, so results are bit-exactly independent of the
- * thread count (tests/test_parallel.cc pins this).
+ * the MoE expert stage as (expert, row-tile) tasks over the rows of
+ * every active expert, and per-(sequence, head) attention.  All
+ * partitioning is disjoint-output, so results are bit-exactly
+ * independent of the thread count (tests/test_parallel.cc pins this).
  */
 struct ExecOptions
 {
@@ -246,10 +247,9 @@ class Engine
     /** Null when exec_.threads <= 1 (pure serial execution). */
     std::unique_ptr<ThreadPool> pool_;
     /**
-     * Recycles Packed-kernel bit-plane scratches across every GEMV this
-     * engine issues (including concurrent MoE expert workers, which
-     * each lease their own), so steady-state decode allocates no plane
-     * buffers.
+     * Recycles the scratches (quantised columns, bit planes, staged
+     * outputs) of every GEMM and MoE expert stage this engine runs,
+     * so steady-state decode allocates none of those buffers.
      */
     HnScratchArena scratchArena_;
     EngineStats stats_;

@@ -1,5 +1,6 @@
 #include "xformer/linear.hh"
 
+#include <algorithm>
 #include <cmath>
 #include <utility>
 
@@ -71,6 +72,20 @@ Linear::forward(const Vec &x, const ExecContext &ctx) const
     return std::move(forwardBatch({x}, ctx).front());
 }
 
+LinearColumns
+LinearColumns::slice(std::size_t first, std::size_t n) const
+{
+    hnlpu_assert(first + n <= count, "column slice [", first, ", ",
+                 first + n, ") outside ", count);
+    LinearColumns view = *this;
+    view.count = n;
+    if (path == ExecPath::Hardwired)
+        view.hn = hn.slice(first, n);
+    else
+        view.reals += first;
+    return view;
+}
+
 std::vector<Vec>
 Linear::forwardBatch(const std::vector<Vec> &xs,
                      const ExecContext &ctx) const
@@ -78,69 +93,122 @@ Linear::forwardBatch(const std::vector<Vec> &xs,
     const std::size_t batch = xs.size();
     if (batch == 0)
         return {};
+    HnScratchLease lease(ctx.arena);
+    HnScratch &scratch = lease.get();
+    scratch.ensureSlots(batch);
     for (std::size_t b = 0; b < batch; ++b) {
         hnlpu_assert(xs[b].size() == inDim_,
                      "batch column ", b, " input size mismatch: ",
                      xs[b].size(), " vs ", inDim_);
+        scratch.columns[b] = xs[b].data();
     }
-    if (ctx.path == ExecPath::Hardwired) {
-        return hardwired().gemmReal(xs, ctx.activationBits, ctx.activity,
-                                    ctx.pool, ctx.kernel, ctx.arena);
-    }
+    const LinearColumns cols =
+        prepareColumns(scratch, batch, inDim_, ctx);
+    scratch.values.resize(outDim_ * batch);
+    double *const out = scratch.values.data();
 
-    std::vector<Vec> ys(batch, Vec(outDim_, 0.0));
-    const auto &values = fp4ValueTable();
     // A reference row is inDim_ multiply-adds per column, so small
     // projections (attention heads, routers) are microsecond-scale
     // jobs; the grain keeps each chunk worth at least ~16k
     // multiply-adds so the pool never wakes a worker for less work
     // than the wake costs -- this is what un-regressed the reference
-    // path past 2 threads.
-    const std::size_t grain = std::max<std::size_t>(
-        1, std::size_t(16384) / (inDim_ * batch));
-    parallelFor(ctx.pool, outDim_,
-                [&](std::size_t begin, std::size_t end) {
-        for (std::size_t r = begin; r < end; ++r) {
-            const Fp4 *row = weights_.data() + r * inDim_;
-            std::size_t b = 0;
-            // Four-column unroll: each weight is dequantised once and
-            // multiplied into four independent accumulator chains.
-            // Every column runs the same multiply/add sequence in the
-            // unroll and in the tail, so a column's doubles do not
-            // depend on the batch it rides in.
-            for (; b + 4 <= batch; b += 4) {
-                const double *x0 = xs[b + 0].data();
-                const double *x1 = xs[b + 1].data();
-                const double *x2 = xs[b + 2].data();
-                const double *x3 = xs[b + 3].data();
-                double a0 = 0.0, a1 = 0.0, a2 = 0.0, a3 = 0.0;
-                for (std::size_t c = 0; c < inDim_; ++c) {
-                    const double w = values[row[c].code()];
-                    a0 += w * x0[c];
-                    a1 += w * x1[c];
-                    a2 += w * x2[c];
-                    a3 += w * x3[c];
-                }
-                ys[b + 0][r] = a0;
-                ys[b + 1][r] = a1;
-                ys[b + 2][r] = a2;
-                ys[b + 3][r] = a3;
-            }
-            for (; b < batch; ++b) {
-                double acc = 0.0;
-                const double *x = xs[b].data();
-                for (std::size_t c = 0; c < inDim_; ++c)
-                    acc += values[row[c].code()] * x[c];
-                ys[b][r] = acc;
-            }
-        }
+    // path past 2 threads.  A hardwired row is worth a chunk of its
+    // own.
+    const std::size_t grain =
+        ctx.path == ExecPath::Hardwired
+            ? 1
+            : std::max<std::size_t>(
+                  1, std::size_t(16384) / (inDim_ * batch));
+    parallelRows(ctx.pool, outDim_, ctx.activity,
+                 [&](std::size_t begin, std::size_t end,
+                     HnActivity *local) {
+        evaluateRows(cols, begin, end, out, outDim_, local);
     }, grain);
-    // Dead neurons read as exactly 0.0, matching the hardwired mask.
-    for (std::uint32_t r : deadRows_) {
-        for (std::size_t b = 0; b < batch; ++b)
-            ys[b][r] = 0.0;
-    }
+
+    std::vector<Vec> ys;
+    ys.reserve(batch);
+    for (std::size_t b = 0; b < batch; ++b)
+        ys.emplace_back(out + b * outDim_, out + (b + 1) * outDim_);
     return ys;
+}
+
+LinearColumns
+Linear::prepareColumns(HnScratch &scratch, std::size_t count,
+                       std::size_t dim, const ExecContext &ctx)
+{
+    LinearColumns cols;
+    cols.path = ctx.path;
+    cols.count = count;
+    cols.dim = dim;
+    if (ctx.path == ExecPath::Hardwired) {
+        cols.hn = HnArray::prepareColumns(scratch, count, dim,
+                                          ctx.activationBits, ctx.kernel,
+                                          ctx.pool);
+    } else {
+        cols.reals = scratch.columns.data();
+    }
+    return cols;
+}
+
+void
+Linear::evaluateRows(const LinearColumns &cols, std::size_t begin,
+                     std::size_t end, double *out, std::size_t stride,
+                     HnActivity *activity) const
+{
+    hnlpu_assert(cols.dim == inDim_, "columns of ", cols.dim,
+                 " values for a projection of input width ", inDim_);
+    hnlpu_assert(begin <= end && end <= outDim_ && stride >= outDim_,
+                 "rows [", begin, ", ", end, ") stride ", stride,
+                 " outside ", outDim_);
+    const std::size_t batch = cols.count;
+    if (cols.path == ExecPath::Hardwired) {
+        hardwired().evaluateRowsReal(cols.hn, begin, end, out, stride,
+                                     activity);
+        return;
+    }
+
+    const auto &values = fp4ValueTable();
+    for (std::size_t r = begin; r < end; ++r) {
+        const Fp4 *row = weights_.data() + r * inDim_;
+        std::size_t b = 0;
+        // Four-column unroll: each weight is dequantised once and
+        // multiplied into four independent accumulator chains.  Every
+        // column runs the same multiply/add sequence in the unroll and
+        // in the tail, so a column's doubles do not depend on the
+        // batch it rides in.
+        for (; b + 4 <= batch; b += 4) {
+            const double *x0 = cols.reals[b + 0];
+            const double *x1 = cols.reals[b + 1];
+            const double *x2 = cols.reals[b + 2];
+            const double *x3 = cols.reals[b + 3];
+            double a0 = 0.0, a1 = 0.0, a2 = 0.0, a3 = 0.0;
+            for (std::size_t c = 0; c < inDim_; ++c) {
+                const double w = values[row[c].code()];
+                a0 += w * x0[c];
+                a1 += w * x1[c];
+                a2 += w * x2[c];
+                a3 += w * x3[c];
+            }
+            out[(b + 0) * stride + r] = a0;
+            out[(b + 1) * stride + r] = a1;
+            out[(b + 2) * stride + r] = a2;
+            out[(b + 3) * stride + r] = a3;
+        }
+        for (; b < batch; ++b) {
+            double acc = 0.0;
+            const double *x = cols.reals[b];
+            for (std::size_t c = 0; c < inDim_; ++c)
+                acc += values[row[c].code()] * x[c];
+            out[b * stride + r] = acc;
+        }
+    }
+    // Dead neurons read as exactly 0.0, matching the hardwired mask.
+    for (auto it = std::lower_bound(deadRows_.begin(), deadRows_.end(),
+                                    begin);
+         it != deadRows_.end() && *it < end; ++it) {
+        for (std::size_t b = 0; b < batch; ++b)
+            out[b * stride + *it] = 0.0;
+    }
 }
 
 double

@@ -67,6 +67,30 @@ struct ExecContext
     const LoraSet *lora = nullptr;
 };
 
+/**
+ * Input columns of a projection, prepared once for any number of
+ * Linear::evaluateRows calls on projections of the same input width
+ * (the MoE expert stage runs an expert's up and gate rows off one
+ * preparation).  On the hardwired path preparing quantises and
+ * serialises the columns (HnArray::prepareColumns); on the reference
+ * path it records the column pointers and nothing more.  A non-owning
+ * view, valid while the scratch and column storage it was prepared
+ * from are.
+ */
+struct LinearColumns
+{
+    ExecPath path = ExecPath::Reference;
+    std::size_t count = 0;
+    std::size_t dim = 0; //!< values per column
+    /** Reference path: column b's values. */
+    const double *const *reals = nullptr;
+    /** Hardwired path: the quantised, serialised columns. */
+    HnColumns hn;
+
+    /** Columns [first, first + n) of this view. */
+    LinearColumns slice(std::size_t first, std::size_t n) const;
+};
+
 /** An out x in projection with FP4 weights. */
 class Linear
 {
@@ -94,11 +118,15 @@ class Linear
     Vec forward(const Vec &x, const ExecContext &ctx) const;
 
     /**
-     * Batched y_b = W x_b on the path selected by @p ctx: one
-     * weight-side traversal serves every input column
-     * (HnArray::gemmReal on the hardwired path; on the reference path
-     * each weight row is loaded once and multiplied into per-column
-     * accumulators).  Column b is bit-identical to running it alone
+     * Batched y_b = W x_b on the path selected by @p ctx:
+     * prepareColumns, then evaluateRows over pool row chunks, so one
+     * weight-side traversal serves every input column (the hardwired
+     * path runs HnArray::evaluateRowsReal, the body of
+     * HnArray::gemmReal; on the reference path each weight row is
+     * loaded once and multiplied into per-column accumulators).  The
+     * column slots and staged outputs are leased from ctx.arena on
+     * both paths; without an arena every call allocates a fresh
+     * HnScratch.  Column b is bit-identical to running it alone
      * (a batch of one) on both paths -- the serving layer relies on
      * this to keep batched decode bit-exact with sequential decode
      * (tests/test_serving.cc).  With ctx.pool set, output rows are
@@ -110,6 +138,31 @@ class Linear
      */
     std::vector<Vec> forwardBatch(const std::vector<Vec> &xs,
                                   const ExecContext &ctx) const;
+
+    /**
+     * Prepare the columns @p scratch.columns[0, count) (each @p dim
+     * values, caller-filled after HnScratch::ensureSlots) on the path,
+     * activation width, kernel and pool of @p ctx.  The columns must
+     * stay valid while the view is used.
+     */
+    static LinearColumns prepareColumns(HnScratch &scratch,
+                                        std::size_t count,
+                                        std::size_t dim,
+                                        const ExecContext &ctx);
+
+    /**
+     * The per-row body of forwardBatch: output rows [begin, end) for
+     * every column of @p cols, row r of column b written to
+     * out[b * stride + r].  Dead rows read 0.0 on both paths.  Rows
+     * are independent and each row's arithmetic does not depend on the
+     * range it rides in, so any row partition -- forwardBatch's pool
+     * chunks, the MoE stage's (expert, row-tile) tasks -- is
+     * bit-identical to one serial pass.  @p activity accumulates the
+     * hardwired path's counters.
+     */
+    void evaluateRows(const LinearColumns &cols, std::size_t begin,
+                      std::size_t end, double *out, std::size_t stride,
+                      HnActivity *activity) const;
 
     std::size_t outDim() const { return outDim_; }
     std::size_t inDim() const { return inDim_; }

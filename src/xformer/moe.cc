@@ -20,21 +20,56 @@ tracerOf(const ExecContext &ctx)
 }
 
 /**
- * Execution context for the expert projections: same path / bits /
- * kernel / arena as the layer call, but no pool (experts already run
- * under the layer's parallelFor; a nested one would be inline anyway)
- * and no activity/sink (matching the historical per-expert calls, and
- * keeping span emission off the worker threads).
+ * One task of the expert stage: rows [begin, end) of expert `expert`'s
+ * projection against its group's columns [first, first + count).
  */
-ExecContext
-expertContext(const ExecContext &ctx)
+struct ExpertTile
 {
-    ExecContext sub;
-    sub.path = ctx.path;
-    sub.activationBits = ctx.activationBits;
-    sub.kernel = ctx.kernel;
-    sub.arena = ctx.arena;
-    return sub;
+    std::size_t expert;
+    std::size_t first;
+    std::size_t count;
+    std::size_t begin;
+    std::size_t end;
+};
+
+/** Tiles per pool lane each phase of the expert stage aims for. */
+constexpr std::size_t kTilesPerLane = 4;
+
+/** Tile heights are multiples of one cache line of double outputs. */
+constexpr std::size_t kTileAlign = 8;
+
+/**
+ * Cut the @p rows rows of every active expert's projection into tiles
+ * for @p lanes pool lanes.  Expert e's group is columns
+ * [group_begin[e], group_begin[e + 1]).  A tile of an n-column group
+ * gets about rows * columns / (lanes * kTilesPerLane) / n rows, so
+ * every tile carries about the same rows x columns of work and the
+ * pool's static contiguous chunks of tiles stay balanced however
+ * unevenly the tokens routed.  One lane takes whole experts.
+ */
+void
+expertTiles(const std::vector<std::size_t> &group_begin, std::size_t rows,
+            std::size_t lanes, std::vector<ExpertTile> &tiles)
+{
+    tiles.clear();
+    const std::size_t tile_count = lanes * kTilesPerLane;
+    const std::size_t work =
+        (rows * group_begin.back() + tile_count - 1) / tile_count;
+    for (std::size_t e = 0; e + 1 < group_begin.size(); ++e) {
+        const std::size_t count = group_begin[e + 1] - group_begin[e];
+        if (count == 0)
+            continue;
+        std::size_t height = rows;
+        if (lanes > 1) {
+            height = (work + count - 1) / count;
+            height = std::min(rows, (height + kTileAlign - 1) /
+                                        kTileAlign * kTileAlign);
+        }
+        for (std::size_t r = 0; r < rows; r += height) {
+            tiles.push_back(ExpertTile{e, group_begin[e], count, r,
+                                       std::min(rows, r + height)});
+        }
+    }
 }
 
 } // namespace
@@ -50,6 +85,17 @@ MoeLayer::MoeLayer(Linear router, std::vector<Expert> experts,
                  "bad top-k width");
     hnlpu_assert(router_.outDim() == experts_.size(),
                  "router out dim must equal expert count");
+    // The expert stage stages every expert's outputs at one stride.
+    const Expert &first = experts_.front();
+    for (const Expert &ex : experts_) {
+        hnlpu_assert(ex.up.inDim() == first.up.inDim() &&
+                         ex.up.outDim() == first.up.outDim() &&
+                         ex.gate.inDim() == first.up.inDim() &&
+                         ex.gate.outDim() == first.up.outDim() &&
+                         ex.down.inDim() == first.up.outDim() &&
+                         ex.down.outDim() == first.down.outDim(),
+                     "experts must share one up/gate/down shape");
+    }
 }
 
 MoeLayer
@@ -95,6 +141,7 @@ MoeLayer::forwardBatch(
         return {};
 
     obs::Tracer *const trace = tracerOf(ctx);
+    const std::size_t k = activeExperts_;
 
     // Route every token independently; a router column does not depend
     // on the batch it rides in, so top-k picks and gate weights are
@@ -113,12 +160,14 @@ MoeLayer::forwardBatch(
             // tiny (0.01% of weights) and replicated on every chip,
             // and its argmax ordering must be stable across paths for
             // the equivalence tests to be meaningful.
-            const std::vector<Vec> logits = router_.forwardBatch(
-                xs, ExecContext{ExecPath::Reference});
+            ExecContext route_ctx{ExecPath::Reference};
+            route_ctx.arena = ctx.arena;
+            const std::vector<Vec> logits =
+                router_.forwardBatch(xs, route_ctx);
             for (std::size_t t = 0; t < batch; ++t) {
-                chosen[t] = topK(logits[t], activeExperts_);
-                Vec selected_logits(chosen[t].size());
-                for (std::size_t i = 0; i < chosen[t].size(); ++i)
+                chosen[t] = topK(logits[t], k);
+                Vec selected_logits(k);
+                for (std::size_t i = 0; i < k; ++i)
                     selected_logits[i] = logits[t][chosen[t][i]];
                 gates[t] = softmax(selected_logits);
             }
@@ -127,64 +176,111 @@ MoeLayer::forwardBatch(
     std::copy(chosen.begin(), chosen.begin() + selected.size(),
               selected.begin());
 
-    // Group (token, routing position) pairs by expert so each chosen
-    // expert's projections traverse their weights once for every token
-    // that routed to it.
-    std::vector<std::vector<std::pair<std::size_t, std::size_t>>>
-        groups(experts_.size());
+    // Lay the (token, routing position) pairs out as columns grouped
+    // by expert: expert e's group is columns [group_begin[e],
+    // group_begin[e + 1]) in token order, so each chosen expert's
+    // projections traverse their weights once for every token that
+    // routed to it.  Pair (t, i) is column column_of[t * k + i].
+    std::vector<std::size_t> group_begin(experts_.size() + 1, 0);
     for (std::size_t t = 0; t < batch; ++t) {
-        for (std::size_t i = 0; i < chosen[t].size(); ++i)
-            groups[chosen[t][i]].emplace_back(t, i);
+        for (std::size_t e : chosen[t])
+            ++group_begin[e + 1];
     }
-    std::vector<std::size_t> active;
-    for (std::size_t e = 0; e < experts_.size(); ++e) {
-        if (!groups[e].empty())
-            active.push_back(e);
+    for (std::size_t e = 0; e < experts_.size(); ++e)
+        group_begin[e + 1] += group_begin[e];
+    const std::size_t columns = group_begin.back();
+
+    const std::size_t hidden = experts_[0].up.inDim();
+    const std::size_t ffn = experts_[0].up.outDim();
+    const std::size_t out_dim = experts_[0].down.outDim();
+    HnScratchLease lease(ctx.arena);
+    HnScratch &scratch = lease.get();
+    scratch.ensureSlots(columns);
+    // Column-major staging: up (then silu(gate) * up) and gate are
+    // ffn rows per column, down out_dim rows per column.
+    scratch.values.resize((2 * ffn + out_dim) * columns);
+    double *const act = scratch.values.data();
+    double *const gate = act + ffn * columns;
+    double *const down = gate + ffn * columns;
+
+    std::vector<std::size_t> column_of(batch * k);
+    {
+        std::vector<std::size_t> next(group_begin.begin(),
+                                      group_begin.end() - 1);
+        for (std::size_t t = 0; t < batch; ++t) {
+            hnlpu_assert(xs[t].size() == hidden, "token ", t, " has ",
+                         xs[t].size(), " values, experts take ", hidden);
+            for (std::size_t i = 0; i < k; ++i) {
+                const std::size_t c = next[chosen[t][i]]++;
+                column_of[t * k + i] = c;
+                scratch.columns[c] = xs[t].data();
+            }
+        }
     }
 
-    // expert_outs[t][i] holds expert chosen[t][i]'s output for token t.
-    // Groups fill disjoint slots, so they may run on pool workers; the
-    // combine below walks each token's routing order serially, so the
-    // floating-point accumulation order -- and the doubles -- do not
-    // depend on the batch or the pool.
-    std::vector<std::vector<Vec>> expert_outs(batch);
-    for (std::size_t t = 0; t < batch; ++t)
-        expert_outs[t].resize(chosen[t].size());
-
-    const ExecContext sub = expertContext(ctx);
+    // Each phase is one parallelFor over (expert, row-tile) tasks that
+    // cover the rows of every active expert.  Tasks write disjoint
+    // (column, row) ranges, and every output element is computed as in
+    // a serial pass, so the result depends on neither the pool nor
+    // the batch.  Expert GEMMs count no HnActivity (see moe.hh).
+    const std::size_t lanes = ctx.pool ? ctx.pool->threadCount() : 1;
+    std::vector<ExpertTile> tiles;
     {
         obs::ScopedSpan span(trace, "moe", "moe.experts");
-        parallelFor(ctx.pool, active.size(),
+        // Phase 1: up and gate rows off one preparation of each
+        // group's columns, then silu(gate) * up for the tile's rows.
+        const LinearColumns in =
+            Linear::prepareColumns(scratch, columns, hidden, ctx);
+        expertTiles(group_begin, ffn, lanes, tiles);
+        parallelFor(ctx.pool, tiles.size(),
                     [&](std::size_t begin, std::size_t end) {
-            for (std::size_t g = begin; g < end; ++g) {
-                const std::size_t e = active[g];
-                const auto &members = groups[e];
-                const Expert &ex = experts_[e];
-                std::vector<Vec> inputs(members.size());
-                for (std::size_t m = 0; m < members.size(); ++m)
-                    inputs[m] = xs[members[m].first];
-                const std::vector<Vec> up =
-                    ex.up.forwardBatch(inputs, sub);
-                const std::vector<Vec> gate =
-                    ex.gate.forwardBatch(inputs, sub);
-                std::vector<Vec> activated(members.size());
-                for (std::size_t m = 0; m < members.size(); ++m)
-                    activated[m] = swiGlu(gate[m], up[m]);
-                std::vector<Vec> down =
-                    ex.down.forwardBatch(activated, sub);
-                for (std::size_t m = 0; m < members.size(); ++m) {
-                    expert_outs[members[m].first][members[m].second] =
-                        std::move(down[m]);
+            for (std::size_t i = begin; i < end; ++i) {
+                const ExpertTile &tile = tiles[i];
+                const Expert &ex = experts_[tile.expert];
+                const LinearColumns cols =
+                    in.slice(tile.first, tile.count);
+                double *const up_out = act + tile.first * ffn;
+                double *const gate_out = gate + tile.first * ffn;
+                ex.up.evaluateRows(cols, tile.begin, tile.end, up_out,
+                                   ffn, nullptr);
+                ex.gate.evaluateRows(cols, tile.begin, tile.end,
+                                     gate_out, ffn, nullptr);
+                for (std::size_t m = 0; m < tile.count; ++m) {
+                    double *const u = up_out + m * ffn;
+                    const double *const g = gate_out + m * ffn;
+                    for (std::size_t r = tile.begin; r < tile.end; ++r)
+                        u[r] = silu(g[r]) * u[r];
                 }
+            }
+        });
+
+        // Phase 2: down rows over the activated columns.
+        for (std::size_t c = 0; c < columns; ++c)
+            scratch.columns[c] = act + c * ffn;
+        const LinearColumns mid =
+            Linear::prepareColumns(scratch, columns, ffn, ctx);
+        expertTiles(group_begin, out_dim, lanes, tiles);
+        parallelFor(ctx.pool, tiles.size(),
+                    [&](std::size_t begin, std::size_t end) {
+            for (std::size_t i = begin; i < end; ++i) {
+                const ExpertTile &tile = tiles[i];
+                experts_[tile.expert].down.evaluateRows(
+                    mid.slice(tile.first, tile.count), tile.begin,
+                    tile.end, down + tile.first * out_dim, out_dim,
+                    nullptr);
             }
         });
     }
 
-    std::vector<Vec> out(batch, Vec(experts_[0].down.outDim(), 0.0));
+    // Each token combines serially in its own routing order, so the
+    // floating-point accumulation order -- and the doubles -- do not
+    // depend on the batch or the pool.
+    std::vector<Vec> out(batch, Vec(out_dim, 0.0));
     for (std::size_t t = 0; t < batch; ++t) {
-        for (std::size_t i = 0; i < chosen[t].size(); ++i) {
-            for (std::size_t d = 0; d < out[t].size(); ++d)
-                out[t][d] += gates[t][i] * expert_outs[t][i][d];
+        for (std::size_t i = 0; i < k; ++i) {
+            const double *const y = down + column_of[t * k + i] * out_dim;
+            for (std::size_t d = 0; d < out_dim; ++d)
+                out[t][d] += gates[t][i] * y[d];
         }
     }
     return out;

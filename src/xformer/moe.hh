@@ -54,15 +54,31 @@ class MoeLayer
     /**
      * Forward the normalised hidden states @p xs under @p ctx: every
      * token routes independently (reference-precision router, per-token
-     * top-k), then tokens that chose the same expert are grouped so
-     * that expert's up/gate/down projections traverse their weights
-     * once for the whole group (Linear::forwardBatch).  With ctx.pool
-     * set the expert groups evaluate in parallel into private buffers,
-     * then each token combines serially in its own routing order, so
-     * token t's output is bit-identical to running it alone (a batch
-     * of one) and to the serial execution.  ctx.kernel/ctx.arena drive
-     * the expert projections.  When ctx.sink carries a tracer,
-     * "moe.route" / "moe.experts" spans are emitted (cat "moe").
+     * top-k), then the (token, routing position) pairs are grouped by
+     * expert so each chosen expert's projections traverse their
+     * weights once for the whole group.  The expert stage is one
+     * schedule of two phases, each a single parallelFor over
+     * (expert, row-tile) tasks covering the rows of every active
+     * expert: phase 1 evaluates up and gate rows off one preparation
+     * of each group's columns (Linear::prepareColumns, shared by both
+     * matrices) and applies SwiGLU to the tile's rows; phase 2
+     * evaluates down rows.  Tiles are sized by their group's column
+     * count so each carries about the same work and the pool's static
+     * chunks stay balanced; without a pool each expert is one tile.
+     * Every output element is computed as in a serial pass and each
+     * token combines serially in its own routing order, so token t's
+     * output is bit-identical to running it alone (a batch of one)
+     * and to the serial execution.  ctx.path/activationBits/kernel
+     * drive the expert projections; their buffers are leased from
+     * ctx.arena.
+     *
+     * The expert GEMMs count no HnActivity: ctx.activity (and so
+     * EngineStats::hnActivity and the benchmark's hn.* counts) covers
+     * only the attention projections and the unembedding, not the
+     * expert weights that dominate the paper's energy model.
+     *
+     * When ctx.sink carries a tracer, "moe.route" / "moe.experts" spans
+     * are emitted (cat "moe").
      * @param selected empty, or one entry per token that receives the
      *        token's chosen expert indices
      */

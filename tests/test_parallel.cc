@@ -3,23 +3,29 @@
  * Tests for the parallel execution layer: the ThreadPool itself, the
  * thread-safe lazy HN-array programming (the call_once fix), and the
  * bit-exact serial-vs-parallel equivalence of every hot path the
- * engine partitions (Linear rows, HN-array rows, MoE experts,
- * attention heads, full token decode on both execution paths).
+ * engine partitions (Linear rows, HN-array rows, the MoE expert
+ * stage's (expert, row-tile) tasks, attention heads, full token decode
+ * on both execution paths).
  *
  * This binary is also the TSan gate: scripts/tier1.sh rebuilds it with
  * HNLPU_SANITIZE=thread, so any unsynchronised shared state on these
  * paths fails the tier-1 run even when it happens not to corrupt a
- * value.
+ * value.  The AddressSanitizer leg runs it too: the expert stage
+ * indexes flat per-group staging buffers by raw row and column
+ * offsets.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <thread>
 #include <vector>
 
 #include "common/rng.hh"
 #include "common/thread_pool.hh"
+#include "hn/hn_simd.hh"
 #include "model/model_zoo.hh"
 #include "xformer/engine.hh"
 #include "xformer/linear.hh"
@@ -329,6 +335,181 @@ TEST(MoeLayer, ParallelExpertsBitExact)
         EXPECT_EQ(serial, parallel);
         EXPECT_EQ(serial_sel, parallel_sel);
     }
+}
+
+// The expert stage's (expert, row-tile) schedule at a width where the
+// Simd body runs: up and gate read hidden = 1024 inputs (>=
+// kHnSimdMinWords words per plane).  Their 48 rows and down's 40 rows
+// cut into several 8-row tiles per expert on every pool width.
+constexpr std::size_t kWideHidden = 1024;
+constexpr std::size_t kWideFfn = 48;
+constexpr std::size_t kWideOut = 40;
+
+Linear
+withDeadRow(const Linear &lin, std::uint32_t row)
+{
+    return Linear(lin.codes(), lin.outDim(), lin.inDim(), {row});
+}
+
+/** A wide expert; @p dead kills one up row and one down row. */
+Expert
+wideExpert(std::uint64_t seed, bool dead)
+{
+    Expert ex{Linear::random(kWideFfn, kWideHidden, seed),
+              Linear::random(kWideFfn, kWideHidden, seed + 1),
+              Linear::random(kWideOut, kWideFfn, seed + 2)};
+    if (dead) {
+        ex.up = withDeadRow(ex.up, 5);
+        ex.down = withDeadRow(ex.down, 17);
+    }
+    return ex;
+}
+
+/**
+ * 4 experts, top-2, expert 1 with dead rows.  With @p skewed the
+ * router's expert-0 row is all +6, so on positive inputs every token
+ * picks expert 0 and the others share the second routing slot.
+ */
+MoeLayer
+wideMoe(bool skewed)
+{
+    std::vector<Expert> experts;
+    for (std::size_t e = 0; e < 4; ++e)
+        experts.push_back(wideExpert(500 + 3 * e, e == 1));
+    Linear router = Linear::random(4, kWideHidden, 900);
+    if (skewed) {
+        std::vector<Fp4> codes = router.codes();
+        std::fill(codes.begin(), codes.begin() + kWideHidden,
+                  Fp4::quantize(6.0));
+        router = Linear(std::move(codes), 4, kWideHidden);
+    }
+    return MoeLayer(std::move(router), std::move(experts), 2);
+}
+
+/** 9 hidden states; all positive when @p positive. */
+std::vector<Vec>
+wideTokens(bool positive)
+{
+    std::vector<Vec> xs;
+    for (std::size_t t = 0; t < 9; ++t) {
+        Vec x = randomVec(kWideHidden, 40 + t);
+        if (positive) {
+            for (double &v : x)
+                v = std::fabs(v) + 0.25;
+        }
+        xs.push_back(std::move(x));
+    }
+    return xs;
+}
+
+struct MoeRun
+{
+    std::vector<Vec> out;
+    std::vector<std::vector<std::size_t>> selected;
+};
+
+MoeRun
+runMoe(const MoeLayer &moe, const std::vector<Vec> &xs,
+       const ExecContext &ctx)
+{
+    MoeRun run;
+    run.selected.resize(xs.size());
+    run.out = moe.forwardBatch(xs, ctx, run.selected);
+    return run;
+}
+
+/**
+ * Every batch in {1, 2, 3, 8, 9} (crossing kHnBatchChunk) on 2, 3 and 4
+ * threads equals the serial batch, and every token of it equals the
+ * token run alone -- outputs bit for bit, selected indices exactly.
+ * Returns the serial batch of 9 for cross-kernel comparison.
+ */
+MoeRun
+expectTiledScheduleBitExact(const MoeLayer &moe, const std::vector<Vec> &xs,
+                            ExecPath path, HnKernel kernel)
+{
+    SCOPED_TRACE(testing::Message()
+                 << "path " << int(path) << " kernel " << int(kernel));
+    HnScratchArena arena;
+    ExecContext ctx{path, 8, kernel};
+    ctx.arena = &arena;
+    std::vector<MoeRun> solo;
+    for (const Vec &x : xs)
+        solo.push_back(runMoe(moe, {x}, ctx));
+
+    // Forced concurrency: uncapped pools run every chunk on its own
+    // thread even on a small host.
+    ThreadPool pool2(2, false), pool3(3, false), pool4(4, false);
+    MoeRun full;
+    for (std::size_t batch : {1u, 2u, 3u, 8u, 9u}) {
+        const std::vector<Vec> prefix(xs.begin(), xs.begin() + batch);
+        const MoeRun serial = runMoe(moe, prefix, ctx);
+        for (std::size_t t = 0; t < batch; ++t) {
+            EXPECT_EQ(serial.out[t], solo[t].out[0])
+                << "batch " << batch << " token " << t;
+            EXPECT_EQ(serial.selected[t], solo[t].selected[0]);
+        }
+        for (ThreadPool *pool : {&pool2, &pool3, &pool4}) {
+            ExecContext pctx = ctx;
+            pctx.pool = pool;
+            const MoeRun parallel = runMoe(moe, prefix, pctx);
+            EXPECT_EQ(serial.out, parallel.out)
+                << "batch " << batch << " threads "
+                << pool->threadCount();
+            EXPECT_EQ(serial.selected, parallel.selected);
+        }
+        full = serial;
+    }
+    return full;
+}
+
+TEST(MoeLayer, TiledScheduleBitExactOnEveryKernelAndTier)
+{
+    const MoeLayer moe = wideMoe(false);
+    const std::vector<Vec> xs = wideTokens(false);
+    expectTiledScheduleBitExact(moe, xs, ExecPath::Reference,
+                                HnKernel::Packed);
+    const MoeRun packed = expectTiledScheduleBitExact(
+        moe, xs, ExecPath::Hardwired, HnKernel::Packed);
+    const MoeRun scalar = expectTiledScheduleBitExact(
+        moe, xs, ExecPath::Hardwired, HnKernel::Scalar);
+    EXPECT_EQ(scalar.out, packed.out);
+    for (HnSimdLevel level : hnSupportedSimdLevels()) {
+        SCOPED_TRACE(testing::Message() << "simd level " << int(level));
+        ScopedHnSimdLevel force(level);
+        const MoeRun simd = expectTiledScheduleBitExact(
+            moe, xs, ExecPath::Hardwired, HnKernel::Simd);
+        EXPECT_EQ(simd.out, packed.out);
+    }
+}
+
+TEST(MoeLayer, TiledScheduleBitExactOnUnevenGroups)
+{
+    const MoeLayer moe = wideMoe(true);
+    const std::vector<Vec> xs = wideTokens(true);
+    const MoeRun reference = expectTiledScheduleBitExact(
+        moe, xs, ExecPath::Reference, HnKernel::Packed);
+    // Expert 0 takes every token; the others split the second slot.
+    for (const std::vector<std::size_t> &sel : reference.selected)
+        EXPECT_EQ(sel.front(), 0u);
+    const MoeRun packed = expectTiledScheduleBitExact(
+        moe, xs, ExecPath::Hardwired, HnKernel::Packed);
+    const MoeRun simd = expectTiledScheduleBitExact(
+        moe, xs, ExecPath::Hardwired, HnKernel::Simd);
+    EXPECT_EQ(simd.out, packed.out);
+}
+
+TEST(MoeLayer, TiledScheduleBitExactOnDenseLayer)
+{
+    const MoeLayer moe = MoeLayer::dense(wideExpert(700, true));
+    const std::vector<Vec> xs = wideTokens(false);
+    expectTiledScheduleBitExact(moe, xs, ExecPath::Reference,
+                                HnKernel::Packed);
+    const MoeRun packed = expectTiledScheduleBitExact(
+        moe, xs, ExecPath::Hardwired, HnKernel::Packed);
+    const MoeRun simd = expectTiledScheduleBitExact(
+        moe, xs, ExecPath::Hardwired, HnKernel::Simd);
+    EXPECT_EQ(simd.out, packed.out);
 }
 
 struct EngineRun
