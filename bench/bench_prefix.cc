@@ -101,13 +101,11 @@ measureMix(const TransformerConfig &cfg, const ModelWeights &weights,
     m.percent = percent;
     std::vector<std::vector<std::size_t>> tokens_off, tokens_on;
     for (const bool with_prefix : {false, true}) {
-        ExecOptions exec;
-        exec.batchSlots = kSlots;
-        Engine engine(cfg, weights, path, 8, exec);
+        Engine engine(cfg, weights, path);
         std::optional<PrefixCache> prefix;
         if (with_prefix)
             prefix.emplace(engine.kvPool());
-        ServingEngine serving(engine, 0,
+        ServingEngine serving(engine, kSlots,
                               prefix ? &*prefix : nullptr);
         for (const expt::TraceRequest &tr : trace) {
             ServingRequest req;

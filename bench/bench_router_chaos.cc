@@ -282,11 +282,8 @@ main(int argc, char **argv)
     const auto parity_trace =
         makeTrace(cfg, parity_requests, false, 77);
 
-    ExecOptions serving_exec;
-    serving_exec.batchSlots = 4;
-    Engine serving_engine(cfg, weights, ExecPath::Reference, 8,
-                          serving_exec);
-    ServingEngine serving(serving_engine);
+    Engine serving_engine(cfg, weights, ExecPath::Reference);
+    ServingEngine serving(serving_engine, 4);
     for (const RouterRequest &req : parity_trace) {
         ServingRequest sr;
         sr.prompt = req.prompt;

@@ -80,10 +80,9 @@ measure(const TransformerConfig &cfg, const ModelWeights &weights,
 {
     ExecOptions exec;
     exec.threads = threads; // 1 isolates the batched-kernel win
-    exec.batchSlots = slots;
     exec.sink = sink;
     Engine engine(cfg, weights, path, 8, exec);
-    ServingEngine serving(engine);
+    ServingEngine serving(engine, slots);
 
     expt::TraceConfig tc;
     tc.vocabSize = cfg.vocabSize;

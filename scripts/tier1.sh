@@ -5,13 +5,13 @@
 # call_once fix and the ThreadPool stay honest (a data race fails this
 # script even when it happens not to corrupt a value).
 #
-# The fault-injection, prefix-cache, router and parallel tests
-# additionally run under AddressSanitizer: fault plans index weight
-# matrices and dead-row masks by generated coordinates, exactly the
-# kind of arithmetic where an off-by-one reads out of bounds without
-# failing a functional assertion, the router rebinds in-flight KV
-# caches across engine rebuilds, and the MoE expert stage indexes flat
-# per-group staging buffers by raw row and column offsets.
+# The fault-injection, prefix-cache, router, experiment-driver and
+# parallel tests additionally run under AddressSanitizer: fault plans
+# index weight matrices and dead-row masks by generated coordinates,
+# exactly the kind of arithmetic where an off-by-one reads out of
+# bounds without failing a functional assertion, the router rebinds
+# in-flight KV caches across engine rebuilds, and the MoE expert stage
+# indexes flat per-group staging buffers by raw row and column offsets.
 #
 # A fourth leg rebuilds the kernel, serving and parallel tests with
 # -DHNLPU_SIMD=OFF so the Portable fallback of the Simd kernel (the
@@ -133,21 +133,23 @@ cmake --build "$NOSIMD_DIR" -j --target test_hn_kernel --target test_serving \
 (cd "$NOSIMD_DIR" && ctest --output-on-failure -L '^(kernel|serving)$')
 (cd "$NOSIMD_DIR" && ctest --output-on-failure -R '^test_parallel$')
 
-echo "== tier-1: fault + prefix + router + parallel tests under AddressSanitizer =="
+echo "== tier-1: fault + prefix + router + expt + parallel tests under AddressSanitizer =="
 # The block pool hands out raw double* payloads indexed by computed
 # (layer, head, token) offsets, and eviction recycles freed blocks
 # through a free list; ASan catches a stale pointer or an off-by-one
 # offset that a functional assertion would miss.  The router leg
 # covers SlotBatch::rebind: a spare-repaired shard keeps decoding
 # in-flight caches whose blocks live in the retired engine's pool,
-# kept alive only by the caches' shared_ptr.  The parallel leg covers
-# the MoE expert stage: (expert, row-tile) tasks read and write
-# column-major staging buffers at group offsets, over every batch,
-# kernel, pool width and dead-row case of tests/test_parallel.cc.
+# kept alive only by the caches' shared_ptr.  The expt leg runs every
+# builtin scenario (solo ones too) on routers whose shards own
+# per-shard prefix caches over their own block pools.  The parallel
+# leg covers the MoE expert stage: (expert, row-tile) tasks read and
+# write column-major staging buffers at group offsets, over every
+# batch, kernel, pool width and dead-row case of tests/test_parallel.cc.
 cmake -B "$ASAN_DIR" -S . -DHNLPU_SANITIZE=address
 cmake --build "$ASAN_DIR" -j --target test_fault --target test_prefix \
-    --target test_router --target test_parallel
-(cd "$ASAN_DIR" && ctest --output-on-failure -L '^(fault|prefix|router)$')
+    --target test_router --target test_expt --target test_parallel
+(cd "$ASAN_DIR" && ctest --output-on-failure -L '^(fault|prefix|router|expt)$')
 (cd "$ASAN_DIR" && ctest --output-on-failure -R '^test_parallel$')
 
 echo "== tier-1: router + fault tests under UBSan =="

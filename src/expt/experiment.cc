@@ -13,7 +13,6 @@
 
 #include "common/logging.hh"
 #include "obs/json.hh"
-#include "xformer/serving.hh"
 #include "xformer/weights.hh"
 
 namespace hnlpu::expt {
@@ -233,45 +232,15 @@ struct TenantAgg
     std::size_t ttftStepsSum = 0; //!< over completed requests
 };
 
-/** Framework-neutral result of one scenario run. */
+/** Result of one scenario run. */
 struct ScenarioResult
 {
-    std::size_t requests = 0;  //!< trace size (smoke-capped)
-    std::size_t enqueued = 0;  //!< accepted at enqueue
-    std::size_t completed = 0;
-    std::size_t shed = 0;      //!< refused / load-shed
-    std::size_t cancelled = 0; //!< deadline expiry (fleet only)
-    std::size_t decodedTokens = 0;
-    std::size_t executedSteps = 0;
-    std::size_t prefixHits = 0;
-    std::size_t prefixMisses = 0;
-    std::size_t prefixMatchedTokens = 0;
-    std::size_t retries = 0;
-    std::size_t failovers = 0;
-    std::size_t faultsInjected = 0;
-    bool degradedMode = false;
-    double wallSeconds = 0;
-    double throughputTokensPerSecond = 0;
-    double ttftP50Seconds = 0;
-    double ttftP95Seconds = 0;
-    /** Enqueue-time rejections by reason name (insertion order). */
-    std::vector<std::pair<std::string, std::size_t>> rejects;
+    std::size_t requests = 0; //!< trace size (smoke-capped)
+    std::size_t enqueued = 0; //!< accepted at enqueue
+    serve::RouterStats stats;
     std::map<std::size_t, TenantAgg> tenants;
     std::uint64_t digest = kFnvOffset;
 };
-
-void
-countReject(ScenarioResult &r, RejectReason reason)
-{
-    const std::string name = rejectReasonName(reason);
-    for (auto &entry : r.rejects) {
-        if (entry.first == name) {
-            ++entry.second;
-            return;
-        }
-    }
-    r.rejects.emplace_back(name, 1);
-}
 
 /** Smoke-capped trace for one scenario, tenant traffic applied. */
 std::vector<TraceRequest>
@@ -308,97 +277,35 @@ execOptionsFor(const EngineAxisPoint &e)
     ExecOptions exec;
     exec.threads = e.threads;
     exec.kernel = e.kernel;
-    exec.batchSlots = e.batchSlots;
     exec.kvBlockTokens = e.kvBlockTokens;
     exec.kvPoolBlocks = e.kvPoolBlocks;
     return exec;
 }
 
-/** Scenario on a single ServingEngine (fleet.shards == 0). */
+/**
+ * One scenario on a ServingRouter.  A solo scenario (fleet.shards == 0)
+ * runs on one shard with queues as deep as its trace, and every request
+ * is a deadline-free batch request: the router then admits in arrival
+ * order, sheds nothing and schedules exactly like a ServingEngine
+ * (Router.OneShardCleanRouterMatchesServingEngineStepForStep).
+ */
 ScenarioResult
-runSolo(const Scenario &sc, const TransformerConfig &model,
-        const ModelWeights &weights, const RunOptions &opt)
+runScenario(const Scenario &sc, const TransformerConfig &model,
+            const ModelWeights &weights, const RunOptions &opt)
 {
     const std::vector<TraceRequest> trace =
         scenarioTrace(sc, model, opt);
     const std::vector<LoraSet> adapters = buildAdapters(sc, model);
-
-    Engine engine(model, weights, sc.engine.path,
-                  sc.engine.activationBits,
-                  execOptionsFor(sc.engine));
-    std::unique_ptr<PrefixCache> prefix;
-    if (sc.engine.prefixCache)
-        prefix = std::make_unique<PrefixCache>(engine.kvPool());
-    ServingEngine serving(engine, sc.engine.batchSlots, prefix.get());
-    for (std::size_t i = 0; i < adapters.size(); ++i)
-        serving.loraRegistry().registerTenant(
-            sc.tenants.tenants[i].id, &adapters[i]);
-
-    ScenarioResult r;
-    r.requests = trace.size();
-    for (const TraceRequest &tr : trace) {
-        ServingRequest req;
-        req.prompt = tr.prompt;
-        req.decodeTokens = tr.decodeTokens;
-        req.arrivalStep = tr.arrivalStep;
-        req.sampler = tr.sampler;
-        req.seed = tr.seed;
-        req.tenantId = tr.tenantId;
-        const EnqueueResult res = serving.tryEnqueue(std::move(req));
-        if (res.admitted()) {
-            ++r.enqueued;
-        } else {
-            ++r.shed;
-            countReject(r, res.reason);
-        }
-    }
-
-    const std::vector<ServingOutcome> outcomes = serving.run();
-    const ServingStats &stats = serving.stats();
-    r.completed = outcomes.size();
-    r.decodedTokens = stats.decodedTokens;
-    r.executedSteps = stats.executedSteps;
-    r.prefixHits = stats.prefixHits;
-    r.prefixMisses = stats.prefixMisses;
-    r.prefixMatchedTokens = stats.prefixMatchedTokens;
-    r.wallSeconds = stats.wallSeconds;
-    r.throughputTokensPerSecond = stats.aggregateTokensPerSecond;
-    r.ttftP50Seconds = stats.ttftP50Seconds;
-    r.ttftP95Seconds = stats.ttftP95Seconds;
-    for (const ServingOutcome &out : outcomes) {
-        TenantAgg &agg = r.tenants[out.tenantId];
-        ++agg.requests;
-        ++agg.completed;
-        agg.decodedTokens += out.tokens.size();
-        agg.ttftStepsSum += out.firstTokenStep - out.arrivalStep;
-        r.digest = fnvMix(r.digest, out.id);
-        r.digest = fnvMix(r.digest, out.tenantId);
-        // Fold the terminal status (always Completed here) so solo and
-        // fleet digests of the same transcript compare equal: a solo
-        // scenario and a fault-free fleet scenario over one trace must
-        // report the same transcript_fnv.
-        r.digest = fnvMix(
-            r.digest, std::size_t(serve::RequestStatus::Completed));
-        r.digest = fnvMix(r.digest, out.tokens.size());
-        for (const std::size_t token : out.tokens)
-            r.digest = fnvMix(r.digest, token);
-    }
-    return r;
-}
-
-/** Scenario on a sharded ServingRouter (fleet.shards >= 1). */
-ScenarioResult
-runFleet(const Scenario &sc, const TransformerConfig &model,
-         const ModelWeights &weights, const RunOptions &opt)
-{
-    const std::vector<TraceRequest> trace =
-        scenarioTrace(sc, model, opt);
-    const std::vector<LoraSet> adapters = buildAdapters(sc, model);
+    const bool solo = sc.fleet.shards == 0;
 
     serve::RouterConfig rc;
-    rc.shards = sc.fleet.shards;
+    rc.shards = solo ? 1 : sc.fleet.shards;
     rc.slotsPerShard = sc.engine.batchSlots;
     rc.prefixCache = sc.engine.prefixCache;
+    if (solo) {
+        rc.interactiveQueueCapacity = trace.size();
+        rc.batchQueueCapacity = trace.size();
+    }
     serve::ServingRouter router(model, weights, sc.engine.path,
                                 sc.engine.activationBits,
                                 execOptionsFor(sc.engine), rc);
@@ -429,40 +336,19 @@ runFleet(const Scenario &sc, const TransformerConfig &model,
         req.sampler = tr.sampler;
         req.seed = tr.seed;
         req.tenantId = tr.tenantId;
-        req.cls = tr.interactive ? serve::RequestClass::Interactive
-                                 : serve::RequestClass::Batch;
-        req.ttftDeadlineSteps = tr.ttftDeadlineSteps;
-        req.deadlineSteps = tr.deadlineSteps;
+        if (!solo) {
+            if (tr.interactive)
+                req.cls = serve::RequestClass::Interactive;
+            req.ttftDeadlineSteps = tr.ttftDeadlineSteps;
+            req.deadlineSteps = tr.deadlineSteps;
+        }
         const EnqueueResult res = router.enqueue(std::move(req));
         if (res.admitted())
             ++r.enqueued;
     }
 
     const std::vector<serve::RouterOutcome> outcomes = router.run();
-    const serve::RouterStats &stats = router.stats();
-    r.completed = stats.completed;
-    r.shed = stats.shed;
-    r.cancelled = stats.cancelled;
-    r.decodedTokens = stats.decodedTokens;
-    r.executedSteps = stats.executedSteps;
-    r.prefixHits = stats.prefixHits;
-    r.prefixMisses = stats.prefixMisses;
-    r.prefixMatchedTokens = stats.prefixMatchedTokens;
-    r.retries = stats.retries;
-    r.failovers = stats.failovers;
-    r.faultsInjected = stats.faultsInjected;
-    r.degradedMode = stats.degradedMode;
-    r.wallSeconds = stats.wallSeconds;
-    r.throughputTokensPerSecond = stats.goodputTokensPerSecond;
-    r.ttftP50Seconds = stats.ttftP50Seconds;
-    r.ttftP95Seconds = stats.ttftP99Seconds; // router reports p99
-    for (std::size_t reason = 0; reason < kRejectReasonCount;
-         ++reason) {
-        if (stats.byReason[reason] > 0)
-            r.rejects.emplace_back(
-                rejectReasonName(RejectReason(reason)),
-                stats.byReason[reason]);
-    }
+    r.stats = router.stats();
     for (const serve::RouterOutcome &out : outcomes) {
         TenantAgg &agg = r.tenants[out.tenantId];
         ++agg.requests;
@@ -494,28 +380,34 @@ emitScenario(obs::JsonWriter &w, const Scenario &sc,
     w.field("shards", sc.fleet.shards);
     w.field("slots", sc.engine.batchSlots);
     w.field("threads", sc.engine.threads);
+    const serve::RouterStats &st = r.stats;
     w.field("requests", r.requests);
     w.field("enqueued", r.enqueued);
-    w.field("completed", r.completed);
-    w.field("shed", r.shed);
-    w.field("cancelled", r.cancelled);
-    w.field("decoded_tokens", r.decodedTokens);
-    w.field("executed_steps", r.executedSteps);
+    w.field("completed", st.completed);
+    w.field("shed", st.shed);
+    w.field("cancelled", st.cancelled);
+    w.field("decoded_tokens", st.decodedTokens);
+    w.field("executed_steps", st.executedSteps);
     if (sc.fleet.shards > 0) {
-        w.field("retries", r.retries);
-        w.field("failovers", r.failovers);
-        w.field("faults_injected", r.faultsInjected);
-        w.field("degraded_mode", r.degradedMode);
+        w.field("retries", st.retries);
+        w.field("failovers", st.failovers);
+        w.field("faults_injected", st.faultsInjected);
+        w.field("degraded_mode", st.degradedMode);
     }
     w.key("prefix").beginObject();
-    w.field("hits", r.prefixHits);
-    w.field("misses", r.prefixMisses);
-    w.field("matched_tokens", r.prefixMatchedTokens);
+    w.field("hits", st.prefixHits);
+    w.field("misses", st.prefixMisses);
+    w.field("matched_tokens", st.prefixMatchedTokens);
     w.endObject();
-    if (!r.rejects.empty()) {
+    if (st.shed + st.cancelled > 0) {
+        // Shed and cancelled requests by reason, in RejectReason order.
         w.key("rejects").beginObject();
-        for (const auto &entry : r.rejects)
-            w.field(entry.first, entry.second);
+        for (std::size_t reason = 0; reason < kRejectReasonCount;
+             ++reason) {
+            if (st.byReason[reason] > 0)
+                w.field(rejectReasonName(RejectReason(reason)),
+                        st.byReason[reason]);
+        }
         w.endObject();
     }
     w.key("tenant_breakdown").beginArray();
@@ -533,11 +425,10 @@ emitScenario(obs::JsonWriter &w, const Scenario &sc,
     }
     w.endArray();
     if (opt.includeTiming) {
-        w.field("wall_seconds", r.wallSeconds);
-        w.field("throughput_tokens_per_s",
-                r.throughputTokensPerSecond);
-        w.field("ttft_p50_s", r.ttftP50Seconds);
-        w.field("ttft_tail_s", r.ttftP95Seconds);
+        w.field("wall_seconds", st.wallSeconds);
+        w.field("throughput_tokens_per_s", st.goodputTokensPerSecond);
+        w.field("ttft_p50_s", st.ttftP50Seconds);
+        w.field("ttft_tail_s", st.ttftP99Seconds);
     }
     w.field("transcript_fnv", hexDigest(r.digest));
     w.endObject();
@@ -652,11 +543,9 @@ runExperiment(const Experiment &experiment, const RunOptions &options)
     w.field("scenario_count", experiment.scenarios.size());
     w.key("scenarios").beginArray();
     for (const Scenario &sc : experiment.scenarios) {
-        const ScenarioResult r =
-            sc.fleet.shards == 0
-                ? runSolo(sc, experiment.model, weights, options)
-                : runFleet(sc, experiment.model, weights, options);
-        emitScenario(w, sc, r, options);
+        emitScenario(w, sc,
+                     runScenario(sc, experiment.model, weights, options),
+                     options);
     }
     w.endArray();
     w.endObject();

@@ -11,8 +11,9 @@
  *     mix, class mix, deadlines),
  *   - `engine`: the execution configuration (path, HN kernel, threads,
  *     decode slots, paged-KV budget, prefix cache),
- *   - `fleet`: single-engine serving (ServingEngine) or an N-shard
- *     ServingRouter with a seeded fault schedule,
+ *   - `fleet`: an N-shard ServingRouter with a seeded fault schedule,
+ *     or solo serving (a 1-shard router fed deadline-free batch
+ *     requests, which schedules exactly like a ServingEngine),
  *   - `tenants`: per-tenant LoRA adapters with traffic weights
  *     (xformer/lora.hh LoraRegistry).
  *
@@ -103,7 +104,12 @@ struct FaultSpec
 struct FleetAxisPoint
 {
     std::string name = "solo";
-    /** 0 == single ServingEngine; >= 1 == ServingRouter shards. */
+    /**
+     * >= 1 == ServingRouter shards.  0 == solo: one shard, queues as
+     * deep as the trace, every request a deadline-free batch request
+     * (the workload's class mix and deadlines are ignored); reported
+     * as `"shards": 0`.
+     */
     std::size_t shards = 0;
     std::vector<FaultSpec> faults;
 };

@@ -1,7 +1,6 @@
 #include "serve/router.hh"
 
 #include <algorithm>
-#include <chrono>
 #include <thread>
 
 #include "common/logging.hh"
@@ -9,15 +8,10 @@
 #include "obs/json.hh"
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
-#include "sim/core.hh"
-#include "sim/stats.hh"
 
 namespace hnlpu::serve {
 
 namespace {
-
-/** Quantile resolution, as ServingEngine (see serving.cc). */
-constexpr std::size_t kQuantileBins = 4096;
 
 /** Class index for the queues_ array. */
 std::size_t
@@ -114,7 +108,6 @@ ServingRouter::ServingRouter(const TransformerConfig &cfg,
       config_(std::move(config))
 {
     config_.validate(cfg_.vocabSize);
-    exec_.batchSlots = config_.slotsPerShard;
 
     shards_.reserve(config_.shards);
     for (std::size_t s = 0; s < config_.shards; ++s) {
@@ -183,7 +176,6 @@ ServingRouter::freshCycle()
     if (!requests_.empty() || outcomes_.empty())
         return;
     outcomes_.clear();
-    stepWall_.clear();
     stats_ = RouterStats{};
     stats_.shards = config_.shards;
     stats_.slotsPerShard = config_.slotsPerShard;
@@ -508,7 +500,7 @@ ServingRouter::sweepDeadlines(std::size_t step)
         if (metrics) {
             metrics
                 ->latency("router.deadline_miss_steps", 0.0, 4096.0,
-                          kQuantileBins)
+                          StepTimeline::kQuantileBins)
                 ->observe(double(step + 1 - deadline));
         }
         return true;
@@ -715,42 +707,34 @@ ServingRouter::run()
         seen_faults = stats_.faultsInjected;
     };
 
-    const auto t0 = std::chrono::steady_clock::now();
-    const auto elapsed = [&t0] {
-        return std::chrono::duration<double>(
-                   std::chrono::steady_clock::now() - t0)
-            .count();
-    };
-
-    stepWall_.clear();
     // The router's step index is a sim::StepClock on the unified event
     // clock: idle jumps and per-step advances run the (private) event
     // queue through the step's tick window, keeping the step numbering
     // and the simulated timeline coherent.
     sim::Simulation stepSim;
-    sim::StepClock clock(stepSim);
+    StepTimeline timeline(stepSim, trace, "router", "router.step.sim");
     std::vector<std::thread> workers;
     /** Each stepped shard's events this step (null: not stepped). */
     std::vector<std::vector<SlotBatch::Event> *> shard_events(
         shards_.size());
     while (terminalCount_ < n) {
-        const std::size_t step = clock.step();
+        const std::size_t step = timeline.step();
         applyFaultEvents(step);
         sweepDeadlines(step);
         shedPolicy(step);
         admit(step);
         mirrorCounters();
 
-        bool any_busy = false;
+        std::size_t batch = 0;
         for (const Shard &shard : shards_)
-            any_busy = any_busy || shard.batch.busySlots() > 0;
+            batch += shard.batch.busySlots();
         if (metrics) {
             g_q_interactive->set(double(queues_[0].size()));
             g_q_batch->set(double(queues_[1].size()));
             g_healthy->set(double(healthyShards()));
             g_degraded_mode->set(stats_.degradedMode ? 1.0 : 0.0);
         }
-        if (!any_busy) {
+        if (batch == 0) {
             if (terminalCount_ >= n)
                 break;
             // Jump the idle clock to the next actionable step: the
@@ -770,13 +754,10 @@ ServingRouter::run()
                                   schedule_[nextEvent_].step);
             hnlpu_assert(target > step, "router clock failed to "
                                         "advance at step ", step);
-            const double now = elapsed();
-            for (std::size_t skipped = step; skipped < target; ++skipped)
-                stepWall_.push_back(now);
-            clock.jumpTo(target);
+            timeline.idleUntil(target);
             continue;
         }
-        stepWall_.push_back(elapsed());
+        timeline.beginStep();
 
         std::string step_args;
         if (trace) {
@@ -822,39 +803,17 @@ ServingRouter::run()
                 }
             }
         }
-        // Simulated-time step span on the unified clock (wall-time
-        // span above tracks host cost).
-        if (trace) {
-            obs::JsonWriter w(0);
-            w.beginObject().field("step", step).endObject();
-            trace->completeAt("router", "router.step.sim",
-                              toSeconds(clock.tickOf(step)) * 1e6,
-                              toSeconds(clock.ticksPerStep()) * 1e6, 0,
-                              w.str());
-        }
         mirrorCounters();
-        clock.advance();
+        timeline.endStep(batch);
     }
-    stepWall_.push_back(elapsed());
+    stats_.wallSeconds = timeline.finish();
     mirrorCounters();
 
-    // Wall-clock metrics.  Front-door sheds may carry arrival steps
-    // beyond the executed range; clamp the lookup.
-    const auto wallAt = [this](std::size_t s) {
-        if (stepWall_.empty())
-            return 0.0;
-        return stepWall_[std::min(s, stepWall_.size() - 1)];
-    };
-    std::vector<double> ttfts, latencies;
+    // Wall-clock metrics of completed requests.
     for (RouterOutcome &out : outcomes_) {
         if (out.status != RequestStatus::Completed)
             continue;
-        const double arrival = wallAt(out.arrivalStep);
-        out.queueSeconds = wallAt(out.admitStep) - arrival;
-        out.ttftSeconds = wallAt(out.firstTokenStep) - arrival;
-        out.latencySeconds = wallAt(out.finishStep) - arrival;
-        ttfts.push_back(out.ttftSeconds);
-        latencies.push_back(out.latencySeconds);
+        timeline.recordRequest(out);
         if (metrics) {
             metrics->latency("router.ttft_seconds")
                 ->observe(out.ttftSeconds);
@@ -862,22 +821,17 @@ ServingRouter::run()
                 ->observe(out.latencySeconds);
         }
     }
-    stats_.wallSeconds = stepWall_.back();
     stats_.goodputTokensPerSecond =
         stats_.wallSeconds > 0
             ? double(stats_.decodedTokens) / stats_.wallSeconds
             : 0.0;
-    const Histogram ttft_hist =
-        Histogram::fromSamples(ttfts, kQuantileBins);
-    const Histogram latency_hist =
-        Histogram::fromSamples(latencies, kQuantileBins);
-    stats_.ttftP50Seconds = ttft_hist.quantile(0.50);
-    stats_.ttftP99Seconds = ttft_hist.quantile(0.99);
-    stats_.latencyP50Seconds = latency_hist.quantile(0.50);
-    stats_.latencyP95Seconds = latency_hist.quantile(0.95);
+    stats_.ttftP50Seconds = timeline.ttftQuantile(0.50);
+    stats_.ttftP99Seconds = timeline.ttftQuantile(0.99);
+    stats_.latencyP50Seconds = timeline.latencyQuantile(0.50);
+    stats_.latencyP95Seconds = timeline.latencyQuantile(0.95);
     for (RecoveryRecord &rec : stats_.recoveries) {
-        rec.recoverySeconds =
-            wallAt(rec.recoveredStep) - wallAt(rec.faultStep);
+        rec.recoverySeconds = timeline.wallAt(rec.recoveredStep) -
+                              timeline.wallAt(rec.faultStep);
     }
     hnlpu_assert(openRecoveries_.empty(),
                  "router finished with an open recovery episode");

@@ -270,9 +270,8 @@ class ServingRouter
 
     /**
      * Builds one Engine replica per shard over @p clean.
-     * @param exec per-shard execution options; batchSlots is
-     *        overridden with config.slotsPerShard and the sink is
-     *        shared by the router's own spans and counters
+     * @param exec per-shard execution options; the sink is shared by
+     *        the router's own spans and counters
      */
     ServingRouter(const TransformerConfig &cfg,
                   const ModelWeights &clean, ExecPath path,
@@ -415,7 +414,6 @@ class ServingRouter
     std::vector<OpenRecovery> openRecoveries_;
 
     RouterStats stats_;
-    std::vector<double> stepWall_;
 };
 
 } // namespace hnlpu::serve

@@ -56,13 +56,6 @@ struct ExecOptions
      */
     bool pinThreads = false;
     /**
-     * Default decode-slot count for the continuous-batching serving
-     * layer (ServingEngine reads this when constructed without an
-     * explicit slot count).  1 == sequential serving.  Does not affect
-     * single-sequence Engine entry points.
-     */
-    std::size_t batchSlots = 1;
-    /**
      * Observability wiring (metrics registry and/or tracer); null
      * disables both.  The sink must outlive the engine.  Observability
      * never changes decoded tokens: spans/counters only read the

@@ -90,10 +90,10 @@ struct LoraSet
  * side-channel overlays).  Adapters are borrowed and must outlive the
  * registry.  A null adapter is a legal registration -- that tenant
  * serves the base model.  Tenant 0 is always known: it is the default
- * tenant the legacy single-tenant entry points map onto, and resolving
- * it without an explicit registration falls back to the caller-supplied
- * default adapter (the engine's setLora() state), which is
- * what keeps pre-tenant call sites bit-identical.
+ * tenant of every request that names none, and resolving it without an
+ * explicit registration falls back to the caller-supplied default
+ * adapter (the engine's setLora() state), so requests that name no
+ * tenant serve whatever adapter Engine::setLora installed.
  */
 class LoraRegistry
 {

@@ -20,9 +20,8 @@ namespace hnlpu {
 /**
  * Typed reasons a request is refused at admission, shed by load/health
  * policy, or cancelled after admission.  A serving front end must never
- * abort on bad traffic -- it reports one of these instead, and the
- * fatal legacy entry points (ServingEngine::enqueue) are thin wrappers
- * that translate a reason back into the historical hard failure.
+ * abort on bad traffic -- it reports one of these instead
+ * (ServingEngine::tryEnqueue, serve::ServingRouter::enqueue).
  *
  * The first group is request validation, the second admission-control /
  * health policy (used by serve::ServingRouter), the third cancellation

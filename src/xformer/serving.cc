@@ -13,17 +13,6 @@
 
 namespace hnlpu {
 
-namespace {
-
-/**
- * Quantile resolution for the per-request wall metrics: the histogram
- * spans exactly [min, max] of the observed samples, so 4096 bins put
- * the bin-midpoint error at ~0.01% of the observed range.
- */
-constexpr std::size_t kQuantileBins = 4096;
-
-} // namespace
-
 RejectReason
 validateRequestFields(const std::vector<std::size_t> &prompt,
                       std::size_t decode_tokens,
@@ -199,11 +188,88 @@ SlotBatch::step(std::size_t clock_step, std::string_view span_cat,
     return events_;
 }
 
+StepTimeline::StepTimeline(sim::Simulation &sim, obs::Tracer *trace,
+                           std::string cat, std::string sim_span)
+    : clock_(sim), trace_(trace), cat_(std::move(cat)),
+      simSpan_(std::move(sim_span)),
+      t0_(std::chrono::steady_clock::now())
+{
+}
+
+double
+StepTimeline::elapsed() const
+{
+    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                         t0_)
+        .count();
+}
+
+void
+StepTimeline::idleUntil(std::size_t target)
+{
+    const double now = elapsed();
+    while (clock_.step() < target) {
+        stepWall_.push_back(now);
+        clock_.advance();
+    }
+}
+
+void
+StepTimeline::beginStep()
+{
+    stepWall_.push_back(elapsed());
+}
+
+void
+StepTimeline::endStep(std::size_t batch)
+{
+    // Simulated-time view of the executed step on the unified clock
+    // (the front end's wall-time spans track host cost; this one places
+    // the step on the shared simulated timeline).
+    if (trace_) {
+        obs::JsonWriter w(0);
+        w.beginObject()
+            .field("step", clock_.step())
+            .field("batch", batch)
+            .endObject();
+        trace_->completeAt(cat_, simSpan_,
+                           toSeconds(clock_.tickOf(clock_.step())) * 1e6,
+                           toSeconds(clock_.ticksPerStep()) * 1e6, 0,
+                           w.str());
+    }
+    clock_.advance();
+}
+
+double
+StepTimeline::finish()
+{
+    stepWall_.push_back(elapsed());
+    return stepWall_.back();
+}
+
+double
+StepTimeline::wallAt(std::size_t step) const
+{
+    if (stepWall_.empty())
+        return 0.0;
+    return stepWall_[std::min(step, stepWall_.size() - 1)];
+}
+
+double
+StepTimeline::ttftQuantile(double q) const
+{
+    return Histogram::fromSamples(ttfts_, kQuantileBins).quantile(q);
+}
+
+double
+StepTimeline::latencyQuantile(double q) const
+{
+    return Histogram::fromSamples(latencies_, kQuantileBins).quantile(q);
+}
+
 ServingEngine::ServingEngine(Engine &engine, std::size_t slots,
                              PrefixCache *prefix)
-    : engine_(engine),
-      batch_(engine, slots != 0 ? slots : engine.execOptions().batchSlots,
-             prefix)
+    : engine_(engine), batch_(engine, slots, prefix)
 {
 }
 
@@ -248,18 +314,10 @@ ServingEngine::runOn(sim::Simulation &sim)
         outcomes_[i].arrivalStep = queue_[i].arrivalStep;
     }
 
-    const auto t0 = std::chrono::steady_clock::now();
-    const auto elapsed = [&t0] {
-        return std::chrono::duration<double>(
-                   std::chrono::steady_clock::now() - t0)
-            .count();
-    };
-
     // Observability wiring from the engine's execution context: spans
     // and counters only read the computation, so the decoded tokens are
     // bit-identical with or without a sink (tests/test_obs.cc).
     const obs::Sink *const sink = engine_.execContext().sink;
-    obs::Tracer *const trace = sink ? sink->trace : nullptr;
     obs::MetricsRegistry *const metrics = sink ? sink->metrics : nullptr;
     obs::Counter *c_steps = nullptr, *c_forwards = nullptr,
                  *c_decoded = nullptr;
@@ -279,30 +337,25 @@ ServingEngine::runOn(sim::Simulation &sim)
     // The step index lives on the unified simulation clock: advancing a
     // step runs the shared event queue through the step's tick window,
     // so co-scheduled events interleave deterministically with serving.
-    sim::StepClock clock(sim);
-    /** step_wall[t] = elapsed seconds when step t began. */
-    std::vector<double> step_wall;
+    StepTimeline timeline(sim, sink ? sink->trace : nullptr, "serving",
+                          "serve.step.sim");
 
     while (finished < n) {
         // All slots idle and the next request is in the future: jump
-        // the step clock to its arrival (the skipped steps take no wall
-        // time -- there is nothing to execute).
+        // the step clock to its arrival.
         if (batch_.busySlots() == 0) {
             hnlpu_assert(next < n, "serving run stalled with ",
                          n - finished, " unfinished requests");
-            const double now = elapsed();
-            while (clock.step() < queue_[next].arrivalStep) {
-                step_wall.push_back(now);
-                clock.advance();
-            }
+            timeline.idleUntil(queue_[next].arrivalStep);
         }
-        step_wall.push_back(elapsed());
+        timeline.beginStep();
+        const std::size_t step = timeline.step();
 
         // Admit arrived requests into free slots, FIFO.  A slot freed
         // at finishStep f is re-admissible at step f, matching
         // ContinuousBatcher's slot_free bookkeeping exactly.
         while (batch_.freeSlots() > 0 && next < n &&
-               queue_[next].arrivalStep <= clock.step()) {
+               queue_[next].arrivalStep <= step) {
             const ServingRequest &req = queue_[next];
             // The tenant was checked at enqueue; the unregistered
             // default tenant 0 tracks the engine-default adapter
@@ -319,7 +372,7 @@ ServingEngine::runOn(sim::Simulation &sim)
                     ++stats_.prefixMisses;
                 stats_.prefixMatchedTokens += matched;
             }
-            outcomes_[next].admitStep = clock.step();
+            outcomes_[next].admitStep = step;
             ++next;
         }
 
@@ -333,11 +386,11 @@ ServingEngine::runOn(sim::Simulation &sim)
             c_steps->add(1);
             c_forwards->add(batch);
         }
-        const double step_t0 = elapsed();
+        const double step_t0 = timeline.elapsed();
         std::vector<SlotBatch::Event> &events =
-            batch_.step(clock.step(), "serving", "serve.step");
+            batch_.step(step, "serving", "serve.step");
         if (h_step)
-            h_step->observe(elapsed() - step_t0);
+            h_step->observe(timeline.elapsed() - step_t0);
         stats_.forwards += batch;
         ++stats_.executedSteps;
 
@@ -346,47 +399,24 @@ ServingEngine::runOn(sim::Simulation &sim)
             if (c_decoded)
                 c_decoded->add(1);
             if (event.firstToken)
-                out.firstTokenStep = clock.step() + 1;
+                out.firstTokenStep = step + 1;
             if (event.finished) {
                 out.tokens = std::move(event.tokens);
-                out.finishStep = clock.step() + 1;
+                out.finishStep = step + 1;
                 ++finished;
             }
         }
-        // Simulated-time view of the executed step on the unified
-        // clock (the wall-time span above tracks host cost; this one
-        // places the step on the shared simulated timeline).
-        if (trace) {
-            obs::JsonWriter w(0);
-            w.beginObject()
-                .field("step", clock.step())
-                .field("batch", batch)
-                .endObject();
-            trace->completeAt("serving", "serve.step.sim",
-                              toSeconds(clock.tickOf(clock.step())) * 1e6,
-                              toSeconds(clock.ticksPerStep()) * 1e6, 0,
-                              w.str());
-        }
-        clock.advance();
+        timeline.endStep(batch);
     }
-    // Start-of-step time for the first never-executed step == end of
-    // the run; finishStep/firstTokenStep indices land here at most.
-    step_wall.push_back(elapsed());
+    stats_.wallSeconds = timeline.finish();
 
-    std::vector<double> ttfts(n), latencies(n);
     Accumulator queue_acc;
-    for (std::size_t i = 0; i < n; ++i) {
-        ServingOutcome &out = outcomes_[i];
-        const double arrival = step_wall[out.arrivalStep];
-        out.queueSeconds = step_wall[out.admitStep] - arrival;
-        out.ttftSeconds = step_wall[out.firstTokenStep] - arrival;
-        out.latencySeconds = step_wall[out.finishStep] - arrival;
-        const double service =
-            step_wall[out.finishStep] - step_wall[out.admitStep];
+    for (ServingOutcome &out : outcomes_) {
+        timeline.recordRequest(out);
+        const double service = timeline.wallAt(out.finishStep) -
+                               timeline.wallAt(out.admitStep);
         out.decodeTokensPerSecond =
             service > 0 ? double(out.tokens.size()) / service : 0.0;
-        ttfts[i] = out.ttftSeconds;
-        latencies[i] = out.latencySeconds;
         queue_acc.add(out.queueSeconds);
         stats_.decodedTokens += out.tokens.size();
         if (metrics) {
@@ -396,7 +426,6 @@ ServingEngine::runOn(sim::Simulation &sim)
                 ->observe(out.latencySeconds);
         }
     }
-    stats_.wallSeconds = step_wall.back();
     stats_.aggregateTokensPerSecond =
         stats_.wallSeconds > 0
             ? double(stats_.decodedTokens) / stats_.wallSeconds
@@ -407,16 +436,10 @@ ServingEngine::runOn(sim::Simulation &sim)
                   double(stats_.executedSteps * batch_.size())
             : 0.0;
     stats_.meanQueueSeconds = queue_acc.mean();
-    // Percentiles via the shared sim::Histogram quantile API (one
-    // histogram per metric, spanning exactly the observed samples).
-    const Histogram ttft_hist =
-        Histogram::fromSamples(ttfts, kQuantileBins);
-    const Histogram latency_hist =
-        Histogram::fromSamples(latencies, kQuantileBins);
-    stats_.ttftP50Seconds = ttft_hist.quantile(0.50);
-    stats_.ttftP95Seconds = ttft_hist.quantile(0.95);
-    stats_.latencyP50Seconds = latency_hist.quantile(0.50);
-    stats_.latencyP95Seconds = latency_hist.quantile(0.95);
+    stats_.ttftP50Seconds = timeline.ttftQuantile(0.50);
+    stats_.ttftP95Seconds = timeline.ttftQuantile(0.95);
+    stats_.latencyP50Seconds = timeline.latencyQuantile(0.50);
+    stats_.latencyP95Seconds = timeline.latencyQuantile(0.95);
 
     queue_.clear();
     return outcomes_;

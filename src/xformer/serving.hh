@@ -32,20 +32,18 @@
 #ifndef HNLPU_XFORMER_SERVING_HH
 #define HNLPU_XFORMER_SERVING_HH
 
+#include <chrono>
 #include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
 
+#include "sim/core.hh"
 #include "xformer/engine.hh"
 #include "xformer/prefix_cache.hh"
 #include "xformer/request.hh"
 
 namespace hnlpu {
-
-namespace sim {
-class Simulation;
-} // namespace sim
 
 /** One queued generation request. */
 struct ServingRequest
@@ -129,9 +127,7 @@ struct ServingStats
     /** forwards / (executedSteps * slots). */
     double meanOccupancy = 0;
     double meanQueueSeconds = 0;
-    // Percentiles over per-request wall metrics, via
-    // sim::Histogram::fromSamples (bin-midpoint quantiles; see
-    // serving.cc kQuantileBins for the resolution).
+    // Percentiles over per-request wall metrics (StepTimeline).
     double ttftP50Seconds = 0;
     double ttftP95Seconds = 0;
     double latencyP50Seconds = 0;
@@ -247,6 +243,99 @@ class SlotBatch
 };
 
 /**
+ * The step clock and wall-clock timeline of one serving run, shared by
+ * ServingEngine and serve::ServingRouter.  Step s occupies the tick
+ * window [tickOf(s), tickOf(s+1)) of a sim::StepClock starting at the
+ * simulation's now(); the wall clock starts at construction.  The
+ * timeline records when each step began, turns a request's step
+ * milestones into wall-clock seconds, and folds them into percentiles.
+ */
+class StepTimeline
+{
+  public:
+    /**
+     * Quantile resolution for the per-request wall metrics: the
+     * histogram spans exactly [min, max] of the observed samples, so
+     * 4096 bins put the bin-midpoint error at ~0.01% of the range.
+     */
+    static constexpr std::size_t kQuantileBins = 4096;
+
+    /**
+     * @param trace null, or the tracer that receives one simulated-time
+     *        span per executed step, named @p sim_span in @p cat
+     */
+    StepTimeline(sim::Simulation &sim, obs::Tracer *trace,
+                 std::string cat, std::string sim_span);
+
+    std::size_t step() const { return clock_.step(); }
+
+    /** Seconds since construction. */
+    double elapsed() const;
+
+    /**
+     * Skip idle steps up to @p target: nothing executes, so they take
+     * no wall time.  The clock still advances one step at a time, so
+     * events co-scheduled on the simulation see every step.
+     */
+    void idleUntil(std::size_t target);
+
+    /** The current step executes: record its start time. */
+    void beginStep();
+
+    /**
+     * Close the executed step: place it on the simulated timeline
+     * (args {step, batch}) and advance the clock.
+     */
+    void endStep(std::size_t batch);
+
+    /**
+     * Close the run: the first never-executed step starts now, so
+     * milestones of the last step resolve.
+     * @return the run's wall seconds
+     */
+    double finish();
+
+    /**
+     * Wall seconds at the start of @p step, clamped to the last
+     * recorded step (a front-door shed may carry an arrival step past
+     * the executed range).
+     */
+    double wallAt(std::size_t step) const;
+
+    /**
+     * Set @p out's queue, TTFT and latency seconds (relative to
+     * arrival) from its step milestones and add its TTFT and latency
+     * to the run's samples.  Call after finish().
+     */
+    template <typename Outcome>
+    void recordRequest(Outcome &out)
+    {
+        const double arrival = wallAt(out.arrivalStep);
+        out.queueSeconds = wallAt(out.admitStep) - arrival;
+        out.ttftSeconds = wallAt(out.firstTokenStep) - arrival;
+        out.latencySeconds = wallAt(out.finishStep) - arrival;
+        ttfts_.push_back(out.ttftSeconds);
+        latencies_.push_back(out.latencySeconds);
+    }
+
+    /** @p q quantile of the recorded TTFTs (0 with none recorded). */
+    double ttftQuantile(double q) const;
+    /** @p q quantile of the recorded latencies. */
+    double latencyQuantile(double q) const;
+
+  private:
+    sim::StepClock clock_;
+    obs::Tracer *trace_;
+    std::string cat_;
+    std::string simSpan_;
+    std::chrono::steady_clock::time_point t0_;
+    /** stepWall_[t] = elapsed seconds when step t began. */
+    std::vector<double> stepWall_;
+    std::vector<double> ttfts_;
+    std::vector<double> latencies_;
+};
+
+/**
  * Continuous-batching front end for one Engine: a FIFO queue, the step
  * clock and run statistics around one SlotBatch.
  *
@@ -258,14 +347,13 @@ class ServingEngine
   public:
     /**
      * @param engine borrowed executor; must outlive the serving engine
-     * @param slots concurrent sequences; 0 reads the engine's
-     *        ExecOptions::batchSlots default
+     * @param slots concurrent sequences, >= 1 (1 == sequential serving)
      * @param prefix optional cross-request prefix cache (see SlotBatch)
      *        bound to this engine's kvPool(); decoded tokens stay
      *        bit-identical to unshared serving (tests/test_prefix.cc)
      */
-    explicit ServingEngine(Engine &engine, std::size_t slots = 0,
-                           PrefixCache *prefix = nullptr);
+    ServingEngine(Engine &engine, std::size_t slots,
+                  PrefixCache *prefix = nullptr);
 
     /**
      * Per-tenant LoRA adapters.  Register tenants before enqueueing

@@ -91,15 +91,13 @@ namespace {
 
 /**
  * Upper bounds on heap allocations per decode step of tinyTestModel()
- * (2 layers, 4 experts top-2), measured with this harness on the
- * commit before the MoE (expert, row-tile) schedule: 315 per step at
- * batch 1, and 1123 to 1149 at batch 8, where expert tasks leased
- * scratches on pool workers and the count varied; the bound is the
- * lowest.  The schedule leases its buffers on the calling thread, so
- * every step allocates the same, and fewer (150 and 566).
+ * (2 layers, 4 experts top-2), measured with this harness: 150 per step
+ * at batch 1 and 566 at batch 8, the same in every one of 24 runs
+ * (4-vCPU AVX-512 host, GCC 12.2).  The MoE expert stage leases its
+ * buffers on the calling thread, so every step allocates the same.
  */
-constexpr std::size_t kBatch1Bound = 315;
-constexpr std::size_t kBatch8Bound = 1123;
+constexpr std::size_t kBatch1Bound = 150;
+constexpr std::size_t kBatch8Bound = 566;
 
 constexpr std::size_t kSteps = 40;
 constexpr std::size_t kWarmupSteps = 2;

@@ -228,6 +228,138 @@ TEST(Builtins, EveryBuiltinParsesAndExpands)
               nullptr);
 }
 
+/** Schedule and transcript fields of one builtin scenario, recorded
+ *  from a smoke-sized run with timing off. */
+struct ScenarioPin
+{
+    const char *experiment;
+    const char *scenario;
+    const char *transcriptFnv;
+    std::size_t executedSteps;
+    std::size_t enqueued;
+    std::size_t completed;
+    std::size_t shed;
+    std::size_t cancelled;
+    std::size_t prefixHits;
+    std::size_t prefixMisses;
+    std::size_t prefixMatchedTokens;
+};
+
+const ScenarioPin kBuiltinPins[] = {
+    {"lora_tenant_mix",
+     "steady/hw_packed/solo/tenants1",
+     "0x8426495faff23895", 22, 6, 6, 0, 0, 0, 6, 0},
+    {"lora_tenant_mix",
+     "steady/hw_packed/solo/tenants4",
+     "0x5d92c72925f50402", 22, 6, 6, 0, 0, 0, 6, 0},
+    {"lora_tenant_mix",
+     "steady/hw_packed/solo/tenants16",
+     "0x7efaa3afe96fa48f", 22, 6, 6, 0, 0, 0, 6, 0},
+    {"lora_tenant_mix",
+     "steady/reference/solo/tenants1",
+     "0x56e4015666ead2ff", 22, 6, 6, 0, 0, 0, 6, 0},
+    {"lora_tenant_mix",
+     "steady/reference/solo/tenants4",
+     "0x2af39904d9fd36fa", 22, 6, 6, 0, 0, 0, 6, 0},
+    {"lora_tenant_mix",
+     "steady/reference/solo/tenants16",
+     "0x37873b2388c03259", 22, 6, 6, 0, 0, 0, 6, 0},
+    {"prefill_decode_sweep",
+     "prefill_heavy/slots1/solo/base",
+     "0x3129d9a3044a27cc", 165, 6, 6, 0, 0, 0, 6, 0},
+    {"prefill_decode_sweep",
+     "prefill_heavy/slots4/solo/base",
+     "0x3129d9a3044a27cc", 56, 6, 6, 0, 0, 0, 6, 0},
+    {"prefill_decode_sweep",
+     "prefill_heavy/slots8_threads2/solo/base",
+     "0x3129d9a3044a27cc", 30, 6, 6, 0, 0, 0, 6, 0},
+    {"prefill_decode_sweep",
+     "decode_heavy/slots1/solo/base",
+     "0xcaf656b8a6004857", 88, 6, 6, 0, 0, 0, 6, 0},
+    {"prefill_decode_sweep",
+     "decode_heavy/slots4/solo/base",
+     "0xcaf656b8a6004857", 29, 6, 6, 0, 0, 0, 6, 0},
+    {"prefill_decode_sweep",
+     "decode_heavy/slots8_threads2/solo/base",
+     "0xcaf656b8a6004857", 16, 6, 6, 0, 0, 0, 6, 0},
+    {"prefix_fault_sweep",
+     "shared60/prefix_on/calm/two_tenants",
+     "0x41aceef04e639c8c", 42, 6, 6, 0, 0, 0, 6, 0},
+    {"prefix_fault_sweep",
+     "shared60/prefix_on/repairable/two_tenants",
+     "0x41aceef04e639c8c", 42, 6, 6, 0, 0, 0, 6, 0},
+    {"prefix_fault_sweep",
+     "shared60/prefix_on/lossy_then_kill/two_tenants",
+     "0x41aceef04e639c8c", 50, 6, 6, 0, 0, 0, 7, 0},
+    {"prefix_fault_sweep",
+     "shared60/prefix_off/calm/two_tenants",
+     "0x41aceef04e639c8c", 42, 6, 6, 0, 0, 0, 0, 0},
+    {"prefix_fault_sweep",
+     "shared60/prefix_off/repairable/two_tenants",
+     "0x41aceef04e639c8c", 42, 6, 6, 0, 0, 0, 0, 0},
+    {"prefix_fault_sweep",
+     "shared60/prefix_off/lossy_then_kill/two_tenants",
+     "0x41aceef04e639c8c", 50, 6, 6, 0, 0, 0, 0, 0},
+};
+
+TEST(Builtins, SmokeRunsMatchRecordedSchedules)
+{
+    // Fixed values, not run-vs-run agreement: a change to how the
+    // driver builds or steps a scenario's front end shows up here as a
+    // different schedule, digest or prefix count.
+    expt::RunOptions opt;
+    opt.smoke = true;
+    opt.includeTiming = false;
+    std::size_t checked = 0;
+    for (const char *name : {"lora_tenant_mix", "prefill_decode_sweep",
+                             "prefix_fault_sweep"}) {
+        const expt::NamedExperiment *e =
+            expt::findBuiltinExperiment(name);
+        ASSERT_NE(e, nullptr) << name;
+        const obs::JsonValue report = obs::JsonReader::parseOrDie(
+            expt::runExperiment(
+                expt::parseExperiment(
+                    obs::JsonReader::parseOrDie(e->json, name), name),
+                opt),
+            "report");
+        for (const obs::JsonValue &sc : report["scenarios"].elements()) {
+            const std::string scenario = sc["name"].asString();
+            const obs::JsonValue &prefix = sc["prefix"];
+            std::ostringstream actual;
+            actual << "{\"" << name << "\", \"" << scenario << "\", \""
+                   << sc["transcript_fnv"].asString() << "\", "
+                   << sc["executed_steps"].asUint() << ", "
+                   << sc["enqueued"].asUint() << ", "
+                   << sc["completed"].asUint() << ", "
+                   << sc["shed"].asUint() << ", "
+                   << sc["cancelled"].asUint() << ", "
+                   << prefix["hits"].asUint() << ", "
+                   << prefix["misses"].asUint() << ", "
+                   << prefix["matched_tokens"].asUint() << "}";
+            const ScenarioPin *pin = nullptr;
+            for (const ScenarioPin &p : kBuiltinPins)
+                if (name == std::string(p.experiment) &&
+                    scenario == p.scenario)
+                    pin = &p;
+            if (pin == nullptr) {
+                ADD_FAILURE() << "no pin for " << actual.str();
+                continue;
+            }
+            std::ostringstream want;
+            want << "{\"" << pin->experiment << "\", \""
+                 << pin->scenario << "\", \"" << pin->transcriptFnv
+                 << "\", " << pin->executedSteps << ", "
+                 << pin->enqueued << ", " << pin->completed << ", "
+                 << pin->shed << ", " << pin->cancelled << ", "
+                 << pin->prefixHits << ", " << pin->prefixMisses << ", "
+                 << pin->prefixMatchedTokens << "}";
+            EXPECT_EQ(actual.str(), want.str());
+            ++checked;
+        }
+    }
+    EXPECT_EQ(checked, std::size(kBuiltinPins));
+}
+
 // -- Matrix-expansion and report determinism ------------------------------
 
 const char *const kDeterminismConfig = R"json({
@@ -358,9 +490,8 @@ TEST(MultiTenant, BitIdenticalToSoloAcrossKernelsAndThreads)
                 ExecOptions exec;
                 exec.threads = threads;
                 exec.kernel = kernel;
-                exec.batchSlots = 3;
                 Engine engine(cfg, weights, path, 8, exec);
-                ServingEngine serving(engine);
+                ServingEngine serving(engine, 3);
                 serving.loraRegistry().registerTenant(1, &setA);
                 serving.loraRegistry().registerTenant(2, &setB);
                 for (const expt::TraceRequest &r : trace) {
@@ -516,7 +647,7 @@ TEST(MultiTenant, UnknownTenantRefusedAtEnqueue)
     const ModelWeights weights = ModelWeights::randomInit(cfg, 33);
 
     Engine engine(cfg, weights, ExecPath::Reference);
-    ServingEngine serving(engine);
+    ServingEngine serving(engine, 1);
     ServingRequest req;
     req.prompt = {1, 2, 3};
     req.decodeTokens = 2;

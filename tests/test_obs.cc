@@ -254,10 +254,9 @@ TEST(Serving, TracedRunBitIdenticalAndSpansFourSubsystems)
     auto serve = [&](const obs::Sink *sink) {
         ExecOptions exec;
         exec.threads = 2;
-        exec.batchSlots = 2;
         exec.sink = sink;
         Engine engine(cfg, weights, ExecPath::Reference, 8, exec);
-        ServingEngine serving(engine);
+        ServingEngine serving(engine, 2);
         for (std::size_t i = 0; i < prompts.size(); ++i) {
             ServingRequest req;
             req.prompt = prompts[i];
@@ -317,7 +316,7 @@ TEST(Serving, TracedRunBitIdenticalAndSpansFourSubsystems)
     // metricsJson is parseable and schema-stable.
     ExecOptions exec;
     Engine engine(cfg, weights, ExecPath::Reference, 8, exec);
-    ServingEngine serving(engine);
+    ServingEngine serving(engine, 1);
     ServingRequest req;
     req.prompt = {1};
     req.decodeTokens = 2;

@@ -273,7 +273,6 @@ TEST(PrefixServing, SharedVsUnsharedBitIdentity)
             ExecOptions exec;
             exec.threads = threads;
             exec.kernel = kernel;
-            exec.batchSlots = 3;
             exec.kvBlockTokens = 4;
 
             // Solo transcripts through an unshared engine: the ground
@@ -288,7 +287,7 @@ TEST(PrefixServing, SharedVsUnsharedBitIdentity)
 
             Engine engine(cfg, weights, ExecPath::Hardwired, 8, exec);
             PrefixCache prefix(engine.kvPool());
-            ServingEngine serving(engine, 0, &prefix);
+            ServingEngine serving(engine, 3, &prefix);
             for (const ServingRequest &req : trace)
                 ASSERT_TRUE(serving.tryEnqueue(req).admitted());
             const auto outcomes = serving.run();
@@ -326,7 +325,6 @@ TEST(PrefixServing, SkipsPrefillForwardsAndKeepsTokens)
     trace[1].seed = 1;
 
     ExecOptions exec;
-    exec.batchSlots = 1;
     exec.kvBlockTokens = 4;
 
     const auto serve = [&](bool with_prefix) {
@@ -334,7 +332,7 @@ TEST(PrefixServing, SkipsPrefillForwardsAndKeepsTokens)
         std::optional<PrefixCache> prefix;
         if (with_prefix)
             prefix.emplace(engine.kvPool());
-        ServingEngine serving(engine, 0,
+        ServingEngine serving(engine, 1,
                               prefix ? &*prefix : nullptr);
         for (const ServingRequest &req : trace)
             EXPECT_TRUE(serving.tryEnqueue(req).admitted());
@@ -366,7 +364,6 @@ TEST(PrefixServing, EvictionUnderLiveTrafficIsDeterministic)
     const auto trace = sharedTrace(cfg, 8, 8);
 
     ExecOptions exec;
-    exec.batchSlots = 2;
     exec.kvBlockTokens = 4;
     // Tight budget: the working set fits, the accumulated prefix tree
     // does not, so serving must evict mid-run to keep admitting.
@@ -375,7 +372,7 @@ TEST(PrefixServing, EvictionUnderLiveTrafficIsDeterministic)
     const auto serve = [&] {
         Engine engine(cfg, weights, ExecPath::Reference, 8, exec);
         PrefixCache prefix(engine.kvPool());
-        ServingEngine serving(engine, 0, &prefix);
+        ServingEngine serving(engine, 2, &prefix);
         for (const ServingRequest &req : trace)
             EXPECT_TRUE(serving.tryEnqueue(req).admitted());
         const auto outcomes = serving.run();

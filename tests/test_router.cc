@@ -200,7 +200,6 @@ TEST(Router, OneShardCleanRouterMatchesServingEngineStepForStep)
     const auto clean = ModelWeights::randomInit(cfg, 131);
     constexpr std::size_t kSlots = 2;
     ExecOptions exec;
-    exec.batchSlots = kSlots;
     exec.kvBlockTokens = 4;
 
     const std::vector<std::size_t> shared = {3, 1, 4, 1, 5, 9, 2, 6, 5};

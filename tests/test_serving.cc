@@ -27,6 +27,7 @@
 #include "hn/hn_kernel.hh"
 #include "hn/hn_simd.hh"
 #include "model/model_zoo.hh"
+#include "obs/trace.hh"
 #include "pipeline/batcher.hh"
 #include "sim/core.hh"
 #include "xformer/engine.hh"
@@ -439,9 +440,8 @@ TEST(Serving, BatchedDecodeBitIdenticalToSequentialGenerate)
                 for (std::size_t slot_count : {1u, 2u, 4u}) {
                     ExecOptions exec;
                     exec.threads = threads;
-                    exec.batchSlots = slot_count;
                     Engine engine(cfg, *w, path, 8, exec);
-                    ServingEngine serving(engine);
+                    ServingEngine serving(engine, slot_count);
                     ASSERT_EQ(serving.slotCount(), slot_count);
                     for (const Req &r : trace) {
                         ServingRequest req;
@@ -568,6 +568,52 @@ TEST(Serving, RunOnSharedClockBitIdenticalToPrivateRun)
     EXPECT_GT(sim.now(), 777777u);
 }
 
+TEST(Serving, StepTimelineIdlesOneStepAtATimeAndClampsWallLookups)
+{
+    sim::Simulation sim;
+    sim.at(5000, [] {});
+    sim.run(); // nonzero base tick
+    obs::Tracer tracer;
+    StepTimeline timeline(sim, &tracer, "serving", "serve.step.sim");
+    // Events co-scheduled inside idle step windows observe the step
+    // that owns their window: idleUntil crosses one step at a time.
+    std::vector<std::size_t> seen;
+    const Tick base = sim.now();
+    const Tick per_step = sim::StepClock::kDefaultTicksPerStep;
+    for (const std::size_t s : {1u, 2u})
+        sim.at(base + s * per_step + 1,
+               [&] { seen.push_back(timeline.step()); });
+    timeline.idleUntil(3);
+    EXPECT_EQ(seen, (std::vector<std::size_t>{1, 2}));
+    ASSERT_EQ(timeline.step(), 3u);
+
+    timeline.beginStep();
+    timeline.endStep(2);
+    EXPECT_EQ(timeline.step(), 4u);
+    EXPECT_EQ(tracer.eventCount(), 1u);
+    EXPECT_NE(tracer.toJson().find("serve.step.sim"), std::string::npos);
+    const double wall = timeline.finish();
+
+    // Idle steps share one start time; lookups past the run clamp to
+    // its end.
+    EXPECT_EQ(timeline.wallAt(0), timeline.wallAt(2));
+    EXPECT_LE(timeline.wallAt(2), timeline.wallAt(3));
+    EXPECT_EQ(timeline.wallAt(4), wall);
+    EXPECT_EQ(timeline.wallAt(1000), wall);
+
+    EXPECT_EQ(timeline.ttftQuantile(0.5), 0.0); // nothing recorded
+    ServingOutcome out;
+    out.admitStep = 3;
+    out.firstTokenStep = 4;
+    out.finishStep = 4;
+    timeline.recordRequest(out);
+    EXPECT_EQ(out.queueSeconds, timeline.wallAt(3) - timeline.wallAt(0));
+    EXPECT_EQ(out.ttftSeconds, wall - timeline.wallAt(0));
+    EXPECT_EQ(out.latencySeconds, out.ttftSeconds);
+    EXPECT_LE(timeline.ttftQuantile(0.99), out.ttftSeconds);
+    EXPECT_LE(timeline.latencyQuantile(0.99), out.latencySeconds);
+}
+
 // -- Metrics --------------------------------------------------------------
 
 TEST(Serving, StatsAndMetricsJsonAreConsistent)
@@ -628,7 +674,7 @@ TEST(Serving, TryEnqueueTypedRejectionsLeaveQueueUntouched)
     const auto cfg = tinyTestModel();
     const auto weights = ModelWeights::randomInit(cfg, 51);
     Engine engine(cfg, weights, ExecPath::Reference);
-    ServingEngine serving(engine);
+    ServingEngine serving(engine, 1);
 
     ServingRequest empty;
     empty.decodeTokens = 2;
