@@ -33,6 +33,7 @@
 
 #include "bench_util.hh"
 #include "expt/workload.hh"
+#include "model/model_zoo.hh"
 #include "xformer/engine.hh"
 #include "xformer/prefix_cache.hh"
 #include "xformer/sampler.hh"
@@ -42,26 +43,6 @@
 namespace {
 
 using namespace hnlpu;
-
-/** gpt-oss-shaped block at ~1/10 linear scale (as bench_serving). */
-TransformerConfig
-scaledGptOssBlock()
-{
-    TransformerConfig cfg;
-    cfg.name = "gpt-oss-scaled-block";
-    cfg.hiddenSize = 288;
-    cfg.layerCount = 1;
-    cfg.queryHeads = 8;
-    cfg.kvHeads = 2;
-    cfg.headDim = 36;
-    cfg.vocabSize = 2048;
-    cfg.expertCount = 8;
-    cfg.activeExperts = 2;
-    cfg.expertHidden = 288;
-    cfg.weightBits = 4;
-    cfg.validate();
-    return cfg;
-}
 
 constexpr std::size_t kSharedTokens = 48;
 constexpr std::size_t kSlots = 4;

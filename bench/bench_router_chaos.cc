@@ -39,6 +39,7 @@
 #include "common/rng.hh"
 #include "common/table.hh"
 #include "common/units.hh"
+#include "model/model_zoo.hh"
 #include "serve/router.hh"
 #include "xformer/engine.hh"
 #include "xformer/sampler.hh"
@@ -49,26 +50,6 @@ namespace {
 
 using namespace hnlpu;
 using namespace hnlpu::serve;
-
-/** gpt-oss-shaped block at ~1/10 linear scale (as bench_serving). */
-TransformerConfig
-scaledGptOssBlock()
-{
-    TransformerConfig cfg;
-    cfg.name = "gpt-oss-scaled-block";
-    cfg.hiddenSize = 288;
-    cfg.layerCount = 1;
-    cfg.queryHeads = 8;
-    cfg.kvHeads = 2;
-    cfg.headDim = 36;
-    cfg.vocabSize = 2048;
-    cfg.expertCount = 8;
-    cfg.activeExperts = 2;
-    cfg.expertHidden = 288;
-    cfg.weightBits = 4;
-    cfg.validate();
-    return cfg;
-}
 
 /**
  * Heavy-tail request trace (expt::makeServingTrace with the chaos

@@ -42,6 +42,7 @@
 #include "bench_util.hh"
 #include "common/thread_pool.hh"
 #include "hn/hn_simd.hh"
+#include "model/model_zoo.hh"
 #include "xformer/engine.hh"
 #include "xformer/sampler.hh"
 #include "xformer/weights.hh"
@@ -52,26 +53,6 @@ using namespace hnlpu;
 
 /** Timed repetitions per configuration (median reported). */
 constexpr std::size_t kReps = 3;
-
-/** gpt-oss-shaped block at ~1/10 linear scale (see file comment). */
-TransformerConfig
-scaledGptOssBlock()
-{
-    TransformerConfig cfg;
-    cfg.name = "gpt-oss-scaled-block";
-    cfg.hiddenSize = 288;  // 2880 / 10
-    cfg.layerCount = 1;
-    cfg.queryHeads = 8;
-    cfg.kvHeads = 2;       // GQA group of 4, ratio as in gpt-oss
-    cfg.headDim = 36;
-    cfg.vocabSize = 2048;
-    cfg.expertCount = 8;
-    cfg.activeExperts = 2;
-    cfg.expertHidden = 288;
-    cfg.weightBits = 4;
-    cfg.validate();
-    return cfg;
-}
 
 const char *
 kernelName(HnKernel kernel)

@@ -12,6 +12,7 @@
 #include <utility>
 
 #include "common/logging.hh"
+#include "model/model_zoo.hh"
 #include "obs/json.hh"
 #include "xformer/weights.hh"
 
@@ -439,20 +440,7 @@ emitScenario(obs::JsonWriter &w, const Scenario &sc,
 TransformerConfig
 defaultModelPreset()
 {
-    TransformerConfig cfg;
-    cfg.name = "gpt-oss-scaled-block";
-    cfg.hiddenSize = 288;
-    cfg.layerCount = 1;
-    cfg.queryHeads = 8;
-    cfg.kvHeads = 2;
-    cfg.headDim = 36;
-    cfg.vocabSize = 2048;
-    cfg.expertCount = 8;
-    cfg.activeExperts = 2;
-    cfg.expertHidden = 288;
-    cfg.weightBits = 4;
-    cfg.validate();
-    return cfg;
+    return scaledGptOssBlock();
 }
 
 Experiment

@@ -149,9 +149,9 @@ struct RunOptions
 };
 
 /**
- * The model preset experiment configs start from (the benches'
- * gpt-oss-shaped block at ~1/10 linear scale); the config's `model`
- * section overrides individual fields.
+ * The model preset experiment configs start from (scaledGptOssBlock(),
+ * the benches' model); the config's `model` section overrides
+ * individual fields.
  */
 TransformerConfig defaultModelPreset();
 

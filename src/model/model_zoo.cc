@@ -139,6 +139,25 @@ tinyTestModel()
     return cfg;
 }
 
+TransformerConfig
+scaledGptOssBlock()
+{
+    TransformerConfig cfg;
+    cfg.name = "gpt-oss-scaled-block";
+    cfg.hiddenSize = 288;
+    cfg.layerCount = 1;
+    cfg.queryHeads = 8;
+    cfg.kvHeads = 2;
+    cfg.headDim = 36;
+    cfg.vocabSize = 2048;
+    cfg.expertCount = 8;
+    cfg.activeExperts = 2;
+    cfg.expertHidden = 288;
+    cfg.weightBits = 4;
+    cfg.validate();
+    return cfg;
+}
+
 std::vector<TransformerConfig>
 productionModels()
 {

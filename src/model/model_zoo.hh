@@ -44,6 +44,14 @@ TransformerConfig llama3_8b();
  */
 TransformerConfig tinyTestModel();
 
+/**
+ * A gpt-oss-shaped block at ~1/10 linear scale: the same head and
+ * expert structure as gpt-oss 120 B (GQA group of 4, top-2 of 8
+ * experts), hidden 288 = 2880 / 10, one layer.  The serving and
+ * throughput benches and the experiment driver's model preset run it.
+ */
+TransformerConfig scaledGptOssBlock();
+
 /** All production models, gpt-oss first. */
 std::vector<TransformerConfig> productionModels();
 

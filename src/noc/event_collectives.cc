@@ -58,19 +58,6 @@ EventCollectives::broadcast(ChipId root, std::vector<ChipId> group,
 }
 
 void
-EventCollectives::reduce(std::vector<ChipId> group, ChipId root,
-                         Bytes payload, Tick ready, Done done)
-{
-    launch(ready,
-           [this, group = std::move(group), root, payload,
-            ready](CollectiveLog &log) {
-               return timedReduce(fabric_, group, root, payload, ready,
-                                  &log);
-           },
-           std::move(done));
-}
-
-void
 EventCollectives::allReduce(std::vector<ChipId> group, Bytes payload,
                             Tick ready, Done done)
 {
@@ -79,31 +66,6 @@ EventCollectives::allReduce(std::vector<ChipId> group, Bytes payload,
             ready](CollectiveLog &log) {
                return timedAllReduce(fabric_, group, payload, ready,
                                      &log);
-           },
-           std::move(done));
-}
-
-void
-EventCollectives::allGather(std::vector<ChipId> group, Bytes shard,
-                            Tick ready, Done done)
-{
-    launch(ready,
-           [this, group = std::move(group), shard,
-            ready](CollectiveLog &log) {
-               return timedAllGather(fabric_, group, shard, ready, &log);
-           },
-           std::move(done));
-}
-
-void
-EventCollectives::scatter(ChipId root, std::vector<ChipId> group,
-                          Bytes shard, Tick ready, Done done)
-{
-    launch(ready,
-           [this, root, group = std::move(group), shard,
-            ready](CollectiveLog &log) {
-               return timedScatter(fabric_, root, group, shard, ready,
-                                   &log);
            },
            std::move(done));
 }

@@ -57,14 +57,8 @@ class EventCollectives
 
     void broadcast(ChipId root, std::vector<ChipId> group, Bytes payload,
                    Tick ready, Done done);
-    void reduce(std::vector<ChipId> group, ChipId root, Bytes payload,
-                Tick ready, Done done);
     void allReduce(std::vector<ChipId> group, Bytes payload, Tick ready,
                    Done done);
-    void allGather(std::vector<ChipId> group, Bytes shard, Tick ready,
-                   Done done);
-    void scatter(ChipId root, std::vector<ChipId> group, Bytes shard,
-                 Tick ready, Done done);
     void gridAllReduce(Bytes payload, Tick ready, Done done);
 
     /** Message-delivery events executed so far (advances with the clock). */

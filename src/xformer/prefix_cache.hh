@@ -91,13 +91,6 @@ class PrefixCache : public KvBlockPool::Evictor
                  const std::vector<std::size_t> &prompt,
                  std::size_t max_tokens);
 
-    /** Tenant-less compatibility overload: tenant 0. */
-    Match lookup(const std::vector<std::size_t> &prompt,
-                 std::size_t max_tokens)
-    {
-        return lookup(0, prompt, max_tokens);
-    }
-
     /**
      * Index @p cache's first @p prompt.size() positions under the
      * prompt's token path in @p tenant's tree.  The cache must hold at
@@ -108,12 +101,6 @@ class PrefixCache : public KvBlockPool::Evictor
      */
     void insert(std::size_t tenant,
                 const std::vector<std::size_t> &prompt, KvCache &cache);
-
-    /** Tenant-less compatibility overload: tenant 0. */
-    void insert(const std::vector<std::size_t> &prompt, KvCache &cache)
-    {
-        insert(0, prompt, cache);
-    }
 
     /**
      * Drop every cached prefix (weights changed: a repaired shard must

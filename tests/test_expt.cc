@@ -1,9 +1,8 @@
 /**
  * @file
  * Experiment-driver and multi-tenant LoRA serving tests (ctest label
- * `expt`; scripts/tier1.sh also runs this binary under ThreadSanitizer,
- * so no death tests here -- the fatal-accessor paths are exercised via
- * JsonReader::parse's non-fatal Result instead).
+ * `expt`; no death tests here -- the fatal-accessor paths are exercised
+ * via JsonReader::parse's non-fatal Result instead).
  *
  * Pins, in order:
  *  - obs::JsonReader round-trips obs::JsonWriter documents byte-for-byte
@@ -12,6 +11,9 @@
  *    (multi-tenant workloads replay the single-tenant schedule);
  *  - the builtin experiment registry is byte-identical to the shipped
  *    examples/expt/ files and every builtin parses and expands;
+ *  - smoke runs of every builtin scenario, and full-size runs of two
+ *    (where admission order and prefix reuse show), reproduce
+ *    recorded schedules;
  *  - matrix expansion and the report are deterministic: two runs of one
  *    experiment (timing off) produce byte-identical JSON;
  *  - a tenant's decoded tokens under multi-tenant continuous batching
@@ -358,6 +360,75 @@ TEST(Builtins, SmokeRunsMatchRecordedSchedules)
         }
     }
     EXPECT_EQ(checked, std::size(kBuiltinPins));
+}
+
+/** One tenant's completions and summed TTFT steps in a full-size run. */
+struct TenantPin
+{
+    std::size_t tenant;
+    std::size_t completed;
+    std::size_t ttftStepsSum;
+};
+
+/** A builtin scenario run at full size: smoke traces (6 requests) see
+ *  neither admission order nor prefix reuse, these do. */
+struct FullSizePin
+{
+    const char *experiment;
+    const char *scenario;
+    const char *transcriptFnv;
+    std::size_t executedSteps;
+    std::size_t prefixHits;
+    std::size_t prefixMatchedTokens;
+    std::vector<TenantPin> tenants;
+};
+
+TEST(Builtins, FullSizeRunsMatchRecordedSchedules)
+{
+    // lora_tenant_mix's class mix only reaches the router on a sharded
+    // fleet: a solo scenario that admitted interactive requests first
+    // would move the tenants' TTFT.  The prefix_fault_sweep scenario
+    // adopts cached prefixes across a repaired shard.
+    const FullSizePin pins[] = {
+        {"lora_tenant_mix", "steady/hw_packed/solo/tenants4",
+         "0xa3b5f977908aa4d2", 68, 0, 0,
+         {{1, 12, 402}, {2, 6, 201}, {3, 3, 86}, {4, 3, 111}}},
+        {"prefix_fault_sweep", "shared60/prefix_on/repairable/two_tenants",
+         "0xf326aefc80168815", 92, 6, 144, {{1, 15, 524}, {2, 5, 184}}},
+    };
+    expt::RunOptions opt;
+    opt.includeTiming = false;
+    for (const FullSizePin &pin : pins) {
+        SCOPED_TRACE(pin.scenario);
+        const expt::NamedExperiment *e =
+            expt::findBuiltinExperiment(pin.experiment);
+        ASSERT_NE(e, nullptr);
+        expt::Experiment ex = expt::parseExperiment(
+            obs::JsonReader::parseOrDie(e->json, e->name), e->name);
+        std::erase_if(ex.scenarios, [&](const expt::Scenario &sc) {
+            return sc.name != pin.scenario;
+        });
+        ASSERT_EQ(ex.scenarios.size(), 1u);
+        const obs::JsonValue report = obs::JsonReader::parseOrDie(
+            expt::runExperiment(ex, opt), "report");
+        const obs::JsonValue &sc = report["scenarios"].at(0);
+        EXPECT_EQ(sc["transcript_fnv"].asString(), pin.transcriptFnv);
+        EXPECT_EQ(sc["executed_steps"].asUint(), pin.executedSteps);
+        EXPECT_EQ(sc["prefix"]["hits"].asUint(), pin.prefixHits);
+        EXPECT_EQ(sc["prefix"]["matched_tokens"].asUint(),
+                  pin.prefixMatchedTokens);
+        const obs::JsonValue &tenants = sc["tenant_breakdown"];
+        ASSERT_EQ(tenants.size(), pin.tenants.size());
+        for (std::size_t i = 0; i < pin.tenants.size(); ++i) {
+            const TenantPin &want = pin.tenants[i];
+            const obs::JsonValue &got = tenants.at(i);
+            EXPECT_EQ(got["tenant"].asUint(), want.tenant);
+            EXPECT_EQ(got["completed"].asUint(), want.completed);
+            EXPECT_EQ(got["ttft_steps_mean"].asDouble(),
+                      double(want.ttftStepsSum) / double(want.completed))
+                << "tenant " << want.tenant;
+        }
+    }
 }
 
 // -- Matrix-expansion and report determinism ------------------------------

@@ -16,11 +16,11 @@
  * kernel) too.  Single-column checks call the batch kernels with one
  * column: a solo evaluation is a batch of one.
  *
- * Registered under ctest label `kernel`; scripts/tier1.sh additionally
- * runs it under ThreadSanitizer to prove the per-GEMV PackedPlanes is
- * shared strictly read-only across row workers and the arena's atomic
- * slot handoff is race-free, and rebuilds it with -DHNLPU_SIMD=OFF to
- * keep the Portable Simd fallback honest.
+ * Registered under ctest label `kernel`; scripts/tier1.sh runs it, like
+ * every test, under ThreadSanitizer to prove the per-GEMV PackedPlanes
+ * is shared strictly read-only across row workers and the arena's
+ * atomic slot handoff is race-free, and with -DHNLPU_SIMD=OFF to keep
+ * the Portable Simd fallback honest.
  */
 
 #include <gtest/gtest.h>

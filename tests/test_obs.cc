@@ -7,8 +7,8 @@
  * pure: a traced serving run decodes bit-identical tokens and a traced
  * PipelineSim reproduces the untraced result exactly.
  *
- * Registered under ctest label `obs`; scripts/tier1.sh additionally
- * runs it under ThreadSanitizer (counters, the tracer mutex and the
+ * Registered under ctest label `obs`; scripts/tier1.sh runs it, like
+ * every test, under ThreadSanitizer (counters, the tracer mutex and the
  * pool chunk observer are all hit from every worker thread).
  */
 

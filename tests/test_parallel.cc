@@ -7,12 +7,11 @@
  * stage's (expert, row-tile) tasks, attention heads, full token decode
  * on both execution paths).
  *
- * This binary is also the TSan gate: scripts/tier1.sh rebuilds it with
- * HNLPU_SANITIZE=thread, so any unsynchronised shared state on these
- * paths fails the tier-1 run even when it happens not to corrupt a
- * value.  The AddressSanitizer leg runs it too: the expert stage
- * indexes flat per-group staging buffers by raw row and column
- * offsets.
+ * scripts/tier1.sh runs it, like every test, under ThreadSanitizer, so
+ * any unsynchronised shared state on these paths fails the tier-1 run
+ * even when it happens not to corrupt a value, and under
+ * AddressSanitizer: the expert stage indexes flat per-group staging
+ * buffers by raw row and column offsets.
  */
 
 #include <gtest/gtest.h>

@@ -7,10 +7,9 @@
  * eviction determinism under live traffic, concurrent lookup/eviction,
  * and router health probes through the per-shard prefix cache.
  *
- * Registered under ctest label `prefix`; scripts/tier1.sh additionally
- * runs it under ThreadSanitizer (concurrent lookup/eviction) and
- * AddressSanitizer (block pool lifetime).  No death tests here --
- * EXPECT_DEATH forks don't mix with TSan; the fatal-path death tests
+ * Registered under ctest label `prefix`; scripts/tier1.sh runs it, like
+ * every test, under ThreadSanitizer (concurrent lookup/eviction) and
+ * AddressSanitizer (block pool lifetime).  The fatal-path death tests
  * live in test_xformer.cc.
  */
 
@@ -122,18 +121,18 @@ TEST(PrefixCache, RadixInsertMatchSplit)
 
     const std::vector<std::size_t> pa{1, 2, 3, 4, 5, 6, 7, 8};
     KvCache ca = markedCache(pool, pa.size());
-    prefix.insert(pa, ca);
+    prefix.insert(0, pa, ca);
     EXPECT_EQ(prefix.nodeCount(), 1u);
 
     // Full match pins ceil(8 / 4) = 2 blocks.
-    PrefixCache::Match full = prefix.lookup(pa, pa.size());
+    PrefixCache::Match full = prefix.lookup(0, pa, pa.size());
     EXPECT_EQ(full.matchedTokens, 8u);
     ASSERT_EQ(full.chain.size(), 2u);
     unpin(pool, full);
 
     // Token-granular mid-edge match: [1, 2, 3, 9, 10] shares 3 tokens.
     const std::vector<std::size_t> pb{1, 2, 3, 9, 10};
-    PrefixCache::Match part = prefix.lookup(pb, pb.size());
+    PrefixCache::Match part = prefix.lookup(0, pb, pb.size());
     EXPECT_EQ(part.matchedTokens, 3u);
     ASSERT_EQ(part.chain.size(), 1u);
     EXPECT_EQ(part.chain[0], ca.blockId(0));
@@ -148,16 +147,16 @@ TEST(PrefixCache, RadixInsertMatchSplit)
     }
     appendMarked(cb, 1, 30.0);
     appendMarked(cb, 1, 31.0);
-    prefix.insert(pb, cb);
+    prefix.insert(0, pb, cb);
 
     // The shared edge split: mid node [1,2,3] + two diverging leaves.
     EXPECT_EQ(prefix.nodeCount(), 3u);
-    PrefixCache::Match mid = prefix.lookup({1, 2, 3}, 3);
+    PrefixCache::Match mid = prefix.lookup(0, {1, 2, 3}, 3);
     EXPECT_EQ(mid.matchedTokens, 3u);
     unpin(pool, mid);
     // A lookup past the split still matches token-granularly into the
     // original branch.
-    PrefixCache::Match deep = prefix.lookup({1, 2, 3, 4, 99}, 5);
+    PrefixCache::Match deep = prefix.lookup(0, {1, 2, 3, 4, 99}, 5);
     EXPECT_EQ(deep.matchedTokens, 4u);
     unpin(pool, deep);
     // ca's view never changed despite cb's divergent appends.
@@ -165,7 +164,7 @@ TEST(PrefixCache, RadixInsertMatchSplit)
         EXPECT_DOUBLE_EQ(ca.key(0, 0, t)[0], double(t));
 
     // Unknown first token misses entirely.
-    PrefixCache::Match miss = prefix.lookup({42, 1, 2}, 3);
+    PrefixCache::Match miss = prefix.lookup(0, {42, 1, 2}, 3);
     EXPECT_EQ(miss.matchedTokens, 0u);
     EXPECT_TRUE(miss.chain.empty());
     EXPECT_GE(prefix.hits(), 4u);
@@ -179,11 +178,11 @@ TEST(PrefixCache, CowOnPartiallySharedBlock)
 
     const std::vector<std::size_t> prompt{10, 11, 12, 13, 14, 15};
     KvCache ca = markedCache(pool, prompt.size());
-    prefix.insert(prompt, ca);
+    prefix.insert(0, prompt, ca);
 
     // Adopt 5 of 6 tokens: both blocks pinned, the second partially
     // covered (one matched token in a 4-token block).
-    PrefixCache::Match m = prefix.lookup(prompt, 5);
+    PrefixCache::Match m = prefix.lookup(0, prompt, 5);
     ASSERT_EQ(m.matchedTokens, 5u);
     ASSERT_EQ(m.chain.size(), 2u);
     KvCache cb(pool);
@@ -214,22 +213,22 @@ TEST(PrefixCache, LruEvictionUnderPoolPressure)
     const std::vector<std::size_t> p2{5, 6, 7, 8};
     {
         KvCache c1 = markedCache(pool, p1.size());
-        prefix.insert(p1, c1);
+        prefix.insert(0, p1, c1);
         KvCache c2 = markedCache(pool, p2.size(), 20.0);
-        prefix.insert(p2, c2);
+        prefix.insert(0, p2, c2);
     } // caches die; the tree keeps both prompts' blocks live
     EXPECT_EQ(pool->liveBlocks(), 2u);
 
     // Touch p2 so p1 is the LRU leaf.
-    unpin(pool, prefix.lookup(p2, p2.size()));
+    unpin(pool, prefix.lookup(0, p2, p2.size()));
 
     // A 12-token sequence needs 3 blocks; the 4-block budget forces
     // the pool to reclaim through the evictor, which drops exactly the
     // LRU prefix (p1) and nothing else.
     KvCache big = markedCache(pool, 12, 40.0);
     EXPECT_EQ(prefix.evictions(), 1u);
-    EXPECT_EQ(prefix.lookup(p1, p1.size()).matchedTokens, 0u);
-    const PrefixCache::Match survivor = prefix.lookup(p2, p2.size());
+    EXPECT_EQ(prefix.lookup(0, p1, p1.size()).matchedTokens, 0u);
+    const PrefixCache::Match survivor = prefix.lookup(0, p2, p2.size());
     EXPECT_EQ(survivor.matchedTokens, 4u);
     unpin(pool, survivor);
     EXPECT_LE(pool->totalBlocks(), 4u);
@@ -425,14 +424,14 @@ TEST(PrefixConcurrency, ConcurrentLookupAdoptInsertEvict)
                 prompt.push_back(10 + w);
                 prompt.push_back(20 + (i % 5));
                 const PrefixCache::Match m =
-                    prefix.lookup(prompt, prompt.size());
+                    prefix.lookup(0, prompt, prompt.size());
                 KvCache cache(pool);
                 if (m.matchedTokens > 0)
                     cache.adoptPrefix(m.chain, m.matchedTokens);
                 while (cache.length() < prompt.size())
                     appendMarked(cache, 1,
                                  double(w * 1000 + cache.length()));
-                prefix.insert(prompt, cache);
+                prefix.insert(0, prompt, cache);
                 appendMarked(cache, 1, double(w * 1000 + 500 + i));
             }
         });
@@ -441,7 +440,7 @@ TEST(PrefixConcurrency, ConcurrentLookupAdoptInsertEvict)
         worker.join();
     // The tree survived and still answers; every cache released its
     // pins, so live blocks are exactly the tree's.
-    const PrefixCache::Match m = prefix.lookup({7, 8, 9}, 3);
+    const PrefixCache::Match m = prefix.lookup(0, {7, 8, 9}, 3);
     EXPECT_EQ(m.matchedTokens, 3u);
     unpin(pool, m);
     EXPECT_LE(pool->totalBlocks(), 32u);

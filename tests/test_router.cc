@@ -6,12 +6,11 @@
  * unrepairable shards are drained and failed over), graceful
  * degradation policy, and scheduling determinism.
  *
- * Registered under ctest label `router`; scripts/tier1.sh additionally
- * runs it under ThreadSanitizer (run() steps shards on concurrent
- * threads), AddressSanitizer (a spare-repaired shard keeps decoding
- * in-flight caches whose blocks live in the retired engine's pool) and
- * UndefinedBehaviorSanitizer.  No death tests here -- EXPECT_DEATH
- * forks don't mix with TSan.
+ * Registered under ctest label `router`; scripts/tier1.sh runs it, like
+ * every test, under ThreadSanitizer (run() steps shards on concurrent
+ * threads) and AddressSanitizer + UndefinedBehaviorSanitizer (a
+ * spare-repaired shard keeps decoding in-flight caches whose blocks
+ * live in the retired engine's pool; backoff delays are shifts).
  */
 
 #include <gtest/gtest.h>

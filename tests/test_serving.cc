@@ -7,11 +7,10 @@
  * arrays), and the ServingEngine's step clock cross-checked against
  * pipeline/batcher's ContinuousBatcher on one trace.
  *
- * Registered under ctest label `serving`; scripts/tier1.sh additionally
- * runs it under ThreadSanitizer (batched attention and the GEMM row
- * workers share per-step read-only state across the pool).  No death
- * tests here -- EXPECT_DEATH forks don't mix with TSan; those live in
- * test_xformer.cc / test_pipeline.cc.
+ * Registered under ctest label `serving`; scripts/tier1.sh runs it, like
+ * every test, under ThreadSanitizer (batched attention and the GEMM row
+ * workers share per-step read-only state across the pool).  The
+ * fatal-path death tests live in test_xformer.cc / test_pipeline.cc.
  */
 
 #include <gtest/gtest.h>
