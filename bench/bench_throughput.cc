@@ -12,7 +12,9 @@
  *  - the hardwired path with the Scalar (per-wire emulation) kernel,
  *  - the hardwired path with the Packed (word-parallel popcount)
  *    kernel,
- *  - the hardwired path with the Simd (vectorised popcount) kernel.
+ *  - the hardwired path with the Simd (int8 2*w image dot product)
+ *    kernel, which runs its vector body on this block's 288-wide rows
+ *    like on any other width.
  *
  * Methodology: every configuration is measured kReps times after one
  * untimed warmup generation (first-touch page faults, lazy hardwired
@@ -232,8 +234,8 @@ main(int argc, char **argv)
                       "popcount)",
                       cfg, weights, ExecPath::Hardwired,
                       HnKernel::Packed, decode_hw));
-    append(reportPath("Hardwired path, Simd kernel (vectorised "
-                      "popcount)",
+    append(reportPath("Hardwired path, Simd kernel (2*w image dot "
+                      "product)",
                       cfg, weights, ExecPath::Hardwired,
                       HnKernel::Simd, decode_hw));
 

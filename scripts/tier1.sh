@@ -13,8 +13,9 @@
 #    shard's SlotBatch::rebind keeps caches alive across engines (ASan);
 #    the retry backoff shifts and the fault injector's generated bit
 #    positions are where a shift past the type width hides (UBSan).
-#  - -DHNLPU_SIMD=OFF: HnKernel::Simd falls back to the portable
-#    popcount body, which must pass the same bit-exactness tests.
+#  - -DHNLPU_SIMD=OFF: HnKernel::Simd runs only the baseline-ISA
+#    build of its dot loop (no AVX2/AVX-512 copies are compiled), which
+#    must pass the same bit-exactness tests.
 # The Release build with -Werror keeps the optimiser-only GCC
 # diagnostics (-Wstringop-overflow, -Wrestrict, -Wuninitialized from
 # inlined intrinsics) at zero.
@@ -93,6 +94,22 @@ for config in examples/expt/*.json; do
     "$BUILD_DIR"/bench/bench_expt --config "$config" --smoke \
         --json-out "$BUILD_DIR"/BENCH_expt_smoke.json > /dev/null
     python3 -m json.tool "$BUILD_DIR"/BENCH_expt_smoke.json > /dev/null
+done
+
+echo "== tier-1: the repository benchmark builds and decodes correctly =="
+# perfbench/run.py builds hnbench from src/ and serves each workload for
+# a short run.  A src/ change that breaks hnbench's build, or whose
+# decode disagrees with the benchmark's 1-thread Packed re-decode or
+# with the transcript digest recorded in build-perfbench, fails here.
+for workload in solo_decode batch_decode chat_fleet; do
+    result="$(CARGO_TARGET_DIR=build-perfbench python3 perfbench/run.py \
+        --workload "$workload" --seed 1 --seconds 2 --trace 0 | tail -n 1)"
+    python3 -c '
+import json, sys
+r = json.loads(sys.argv[2])
+if r["correct"] is not True or r["failed"] != 0:
+    sys.exit("perfbench " + sys.argv[1] + ": " + sys.argv[2])
+' "$workload" "$result"
 done
 
 echo "== tier-1: warning-free Release build =="

@@ -46,15 +46,11 @@ PackedPlanes::build(const std::vector<std::int64_t> &values,
     // assign() keeps the capacity, so rebuilding at a stable geometry
     // (every decode step of a given projection) is allocation free.
     words_.assign(std::size_t(width_) * wordsPerPlane_, 0);
-    // Plane occupancy doubles as the value OR-fold: plane b is
-    // non-zero iff some value has bit b set.
-    std::uint64_t value_or = 0;
     for (std::size_t i = 0; i < lanes_; ++i) {
         const std::int64_t v = values[i];
         hnlpu_assert(v >= lo && v <= hi, "value ", v,
                      " does not fit in ", width, " bits");
         const std::uint64_t u = static_cast<std::uint64_t>(v);
-        value_or |= u;
         const std::size_t word = i / 64;
         const std::uint64_t lane_bit = std::uint64_t(1) << (i % 64);
         for (unsigned bit = 0; bit < width_; ++bit) {
@@ -62,10 +58,6 @@ PackedPlanes::build(const std::vector<std::int64_t> &values,
                 words_[bit * wordsPerPlane_ + word] |= lane_bit;
         }
     }
-    const std::uint64_t width_mask =
-        width_ == 64 ? ~std::uint64_t(0)
-                     : (std::uint64_t(1) << width_) - 1;
-    nonZeroPlanes_ = value_or & width_mask;
 }
 
 const std::uint64_t *

@@ -81,29 +81,11 @@ class PackedPlanes
     /** True if @p bit is the (sign-carrying) MSB plane. */
     bool isSignPlane(unsigned bit) const { return bit == width_ - 1; }
 
-    /**
-     * Bit @p bit set iff plane @p bit has at least one 1 anywhere.
-     * Computed once at build time; kernels skip all-zero planes
-     * entirely (a zero plane popcounts to 0 against every region mask,
-     * so the skip is bit-exact by construction).  Small-magnitude
-     * non-negative activations leave their high planes all-zero, which
-     * is exactly the bit-sparsity that Laconic/DynamicStripes-style
-     * accelerators exploit.
-     */
-    std::uint64_t nonZeroPlaneMask() const { return nonZeroPlanes_; }
-
-    /** True when plane @p bit carries at least one 1. */
-    bool planeNonZero(unsigned bit) const
-    {
-        return (nonZeroPlanes_ >> bit) & 1ULL;
-    }
-
   private:
     std::vector<std::uint64_t> words_;
     unsigned width_ = 0;
     std::size_t lanes_ = 0;
     std::size_t wordsPerPlane_ = 0;
-    std::uint64_t nonZeroPlanes_ = 0;
 };
 
 /**

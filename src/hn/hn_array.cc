@@ -6,6 +6,7 @@
 #include "common/logging.hh"
 #include "common/rng.hh"
 #include "common/thread_pool.hh"
+#include "hn/hn_simd.hh"
 
 namespace hnlpu {
 
@@ -30,6 +31,23 @@ struct alignas(64) ActivityShard
  */
 constexpr std::size_t kRowAlign = 8;
 
+/**
+ * Copy the @p width-bit (at most kHnDotMaxWidth) quantised column
+ * @p values into @p out.
+ */
+void
+narrowColumn(const std::vector<std::int64_t> &values, unsigned width,
+             std::int16_t *out)
+{
+    const std::int64_t hi = (std::int64_t(1) << (width - 1)) - 1;
+    for (std::size_t i = 0; i < values.size(); ++i) {
+        const std::int64_t v = values[i];
+        hnlpu_assert(v >= -hi - 1 && v <= hi, "value ", v,
+                     " does not fit in ", width, " bits");
+        out[i] = static_cast<std::int16_t>(v);
+    }
+}
+
 } // namespace
 
 HnColumns
@@ -41,6 +59,8 @@ HnColumns::slice(std::size_t first, std::size_t n) const
     view.values += first;
     if (planes)
         view.planes += first;
+    if (narrowed)
+        view.narrowed += first * dim;
     view.count = n;
     return view;
 }
@@ -107,6 +127,22 @@ HnArray::HnArray(const SeaOfNeuronsTemplate &tmpl,
         }
         neurons_.emplace_back(std::move(*topo));
     }
+
+    // The Simd kernel's copy of the wiring: each input reads the 2*w
+    // of the region it is wired into, unwired inputs read 0.  Built
+    // after every row is programmed: allocating it before the rows
+    // measured ~8% slower Packed decode on perfbench chat_fleet, a
+    // heap-placement effect (the Packed kernel never reads the image).
+    image_.assign(rows * cols, 0);
+    const auto &twice = fp4TwiceValueTable();
+    for (std::size_t r = 0; r < rows; ++r) {
+        std::int8_t *image_row = image_.data() + r * cols;
+        for (int code = 0; code < kFp4Codes; ++code) {
+            for (std::uint32_t input : neurons_[r].topology().region(
+                     static_cast<std::uint8_t>(code)))
+                image_row[input] = static_cast<std::int8_t>(twice[code]);
+        }
+    }
 }
 
 std::vector<std::int64_t>
@@ -128,13 +164,14 @@ HnArray::gemmSerial(
     HnScratchLease lease(arena);
     HnScratch &scratch = lease.get();
     scratch.ensureSlots(batch);
-    const HnColumns cols = columnsView(scratch, batch, width, kernel);
+    const HnColumns cols =
+        columnsView(scratch, batch, cols_, width, kernel);
     for (std::size_t b = 0; b < batch; ++b) {
         hnlpu_assert(activations[b].size() == cols_,
                      "batch column ", b, " size ", activations[b].size(),
                      " != array cols ", cols_);
         scratch.quantized[b].values = activations[b];
-        buildPlanes(scratch, b, width, kernel);
+        prepareSlot(scratch, b, cols);
     }
     return evaluateAll(cols, pool, activity);
 }
@@ -144,11 +181,12 @@ HnArray::prepareColumns(HnScratch &scratch, std::size_t count,
                         std::size_t dim, unsigned width, HnKernel kernel,
                         ThreadPool *pool)
 {
-    const HnColumns cols = columnsView(scratch, count, width, kernel);
+    const HnColumns cols =
+        columnsView(scratch, count, dim, width, kernel);
     const auto prepare = [&](std::size_t b) {
         quantizeSymmetric({scratch.columns[b], dim}, width,
                           scratch.quantized[b]);
-        buildPlanes(scratch, b, width, kernel);
+        prepareSlot(scratch, b, cols);
     };
     // The body captures one reference, so its std::function stays in
     // the small buffer and preparing allocates nothing.
@@ -161,32 +199,48 @@ HnArray::prepareColumns(HnScratch &scratch, std::size_t count,
 }
 
 void
-HnArray::buildPlanes(HnScratch &scratch, std::size_t slot, unsigned width,
-                     HnKernel kernel)
+HnArray::prepareSlot(HnScratch &scratch, std::size_t slot,
+                     const HnColumns &cols)
 {
-    if (kernel != HnKernel::Scalar) {
-        scratch.planes[slot] = &scratch.batchPlanes[slot].ensure(
-            scratch.quantized[slot].values, width);
+    const std::vector<std::int64_t> &values = scratch.quantized[slot].values;
+    if (cols.kernel == HnKernel::Packed) {
+        scratch.planes[slot] =
+            &scratch.batchPlanes[slot].ensure(values, cols.width);
+    } else if (cols.kernel == HnKernel::Simd) {
+        narrowColumn(values, cols.width,
+                     scratch.narrowed.data() + slot * cols.dim);
     }
 }
 
 HnColumns
 HnArray::columnsView(HnScratch &scratch, std::size_t count,
-                     unsigned width, HnKernel kernel)
+                     std::size_t dim, unsigned width, HnKernel kernel)
 {
     hnlpu_assert(count <= scratch.batchPlanes.size(), "scratch holds ",
                  scratch.batchPlanes.size(), " slots, columns need ",
                  count);
     HnColumns cols;
     cols.values = scratch.quantized.data();
-    // The planes are immutable once built and shared read-only by
-    // every row worker without synchronisation.  Their pointers are
-    // in place once the slots are built.
-    if (kernel != HnKernel::Scalar)
-        cols.planes = scratch.planes.data();
     cols.count = count;
+    cols.dim = dim;
     cols.width = width;
-    cols.kernel = kernel;
+    // Activations wider than the dot body's int16 columns run the
+    // Packed kernel.
+    cols.kernel = kernel == HnKernel::Simd && width > kHnDotMaxWidth
+                      ? HnKernel::Packed
+                      : kernel;
+    // The planes and narrowed columns are immutable once the slots are
+    // prepared and shared read-only by every row worker without
+    // synchronisation.  Sizing the narrowed buffer here, before any
+    // slot is prepared, keeps its address fixed; it only grows, so
+    // steady-state decode allocates nothing.
+    if (cols.kernel == HnKernel::Packed) {
+        cols.planes = scratch.planes.data();
+    } else if (cols.kernel == HnKernel::Simd) {
+        if (scratch.narrowed.size() < count * dim)
+            scratch.narrowed.resize(count * dim);
+        cols.narrowed = scratch.narrowed.data();
+    }
     return cols;
 }
 
@@ -211,6 +265,9 @@ HnArray::evaluateRows(const HnColumns &cols, std::size_t begin,
 {
     hnlpu_assert(begin <= end && end <= neurons_.size(), "rows [", begin,
                  ", ", end, ") outside ", neurons_.size());
+    hnlpu_assert(cols.kernel != HnKernel::Simd || cols.dim == cols_,
+                 "columns of ", cols.dim, " values for an array of ",
+                 cols_, " cols");
     const std::size_t batch = cols.count;
     for (std::size_t r = begin; r < end; ++r) {
         std::int64_t *row_out = out + (r - begin) * batch;
@@ -223,15 +280,21 @@ HnArray::evaluateRows(const HnColumns &cols, std::size_t begin,
                 row_out[b] = neurons_[r].computeSerial(
                     cols.values[b].values, cols.width, activity);
             }
+        } else if (cols.kernel == HnKernel::Simd) {
+            hnDotBatch(image_.data() + r * cols_, cols_, cols.narrowed,
+                       batch, cols.width, row_out);
+            if (activity) {
+                std::size_t region_bits = 0;
+                for (const RegionMask &region : neurons_[r].regionMasks())
+                    region_bits += region.bits;
+                neurons_[r].addActivity(cols.width, batch, region_bits,
+                                        activity);
+            }
         } else {
             for (std::size_t b0 = 0; b0 < batch; b0 += kHnBatchChunk) {
                 const std::size_t n = std::min(kHnBatchChunk, batch - b0);
-                if (cols.kernel == HnKernel::Simd)
-                    neurons_[r].computeSimdBatch(cols.planes + b0, n,
-                                                 row_out + b0, activity);
-                else
-                    neurons_[r].computePackedBatch(
-                        cols.planes + b0, n, row_out + b0, activity);
+                neurons_[r].computePackedBatch(cols.planes + b0, n,
+                                               row_out + b0, activity);
             }
         }
     }

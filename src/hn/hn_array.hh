@@ -9,11 +9,13 @@
  *  - bit-exact integer GEMM on quantised activation columns (bit-serial
  *    path, one weight traversal for every column, and a reference GEMV,
  *    which must agree); a GEMV is a GEMM of one column;
+ *  - an int8 image of every row's 2*w, built once at programming time
+ *    from the wires, which the Simd kernel's dot product reads;
  *  - a real-valued GEMM that quantises activations, runs the integer
  *    path and dequantises;
  *  - the two halves every GEMM is made of, for callers that schedule
  *    rows themselves (Linear, the MoE expert stage): prepareColumns
- *    quantises and serialises activation columns once, and
+ *    quantises and serialises (or narrows) activation columns once, and
  *    evaluateRows runs rows [begin, end) against them;
  *  - aggregate structural statistics for the physical model.
  */
@@ -50,18 +52,25 @@ struct HnArrayStats
 /**
  * Activation columns prepared for HnArray::evaluateRows: each column
  * quantised to @p width bits with its own symmetric scale (the Scalar
- * kernel reads the integers) and, under Packed/Simd, serialised into
- * bit planes.  A non-owning view of HnScratch slots, so every row of
- * every array that reads the same columns shares one preparation, and
- * a column range is another view.
+ * kernel reads the integers) and, under Packed, serialised into bit
+ * planes, or under Simd, narrowed to int16.  A non-owning view
+ * of HnScratch slots, so every row of every array that reads the same
+ * columns shares one preparation, and a column range is another view.
  */
 struct HnColumns
 {
     const QuantizedVector *values = nullptr;
-    /** Per-column planes; null under HnKernel::Scalar. */
+    /** Per-column planes; set under HnKernel::Packed only. */
     const PackedPlanes *const *planes = nullptr;
+    /** Simd: column b's values at narrowed + b * dim. */
+    const std::int16_t *narrowed = nullptr;
     std::size_t count = 0;
+    std::size_t dim = 0; //!< values per column
     unsigned width = 8;
+    /**
+     * The kernel the rows run: the requested one, except that Simd on
+     * columns wider than kHnDotMaxWidth bits runs Packed.
+     */
     HnKernel kernel = HnKernel::Packed;
 
     /** Columns [first, first + n) of this view. */
@@ -132,11 +141,13 @@ class HnArray
      *        traversal over all columns at once (chunks of
      *        kHnBatchChunk, HardwiredNeuron::computePackedBatch),
      *        amortising mask loads and region-walk overhead across the
-     *        batch; HnKernel::Simd runs the same traversal with the
-     *        vectorised multi-column body
-     *        (HardwiredNeuron::computeSimdBatch); HnKernel::Scalar is
-     *        the original per-row, per-column emulation.  Outputs and
-     *        activity counters are bit-identical across all three.
+     *        batch; HnKernel::Simd narrows each column to int16 and
+     *        takes each row's exact integer dot product with the
+     *        array's 2*w image (hnDotBatch, hn/hn_simd.hh), running
+     *        Packed on columns wider than kHnDotMaxWidth bits;
+     *        HnKernel::Scalar is the original per-row, per-column
+     *        emulation.  Outputs and activity counters are
+     *        bit-identical across all three.
      * @param arena optional scratch recycler for the plane buffers;
      *        null allocates a transient scratch per call.
      */
@@ -150,9 +161,10 @@ class HnArray
      * Quantise the real columns @p scratch.columns[0, count) (each
      * @p dim values, caller-filled after HnScratch::ensureSlots) into
      * the scratch's slots, each with its own symmetric @p width-bit
-     * scale, and under Packed/Simd serialise them into the slots'
-     * cached planes (a slot whose planes already match its column
-     * skips the serialisation).  Columns are independent, so with
+     * scale; under Packed serialise them into the slots' cached planes
+     * (a slot whose planes already match its column skips the
+     * serialisation), under Simd narrow them to int16 in the
+     * scratch's grow-only buffer.  Columns are independent, so with
      * @p pool each worker prepares its own slots.
      */
     static HnColumns prepareColumns(HnScratch &scratch, std::size_t count,
@@ -163,9 +175,9 @@ class HnArray
      * The per-row body of every GEMM: rows [begin, end) against every
      * column of @p cols, row r's result for column b written to
      * out[(r - begin) * cols.count + b].  A dead row writes 0 and
-     * counts no activity; live rows run the @p cols kernel over
-     * kHnBatchChunk-column chunks.  Rows are independent, so any row
-     * partition of a GEMM is bit-identical to the serial loop.
+     * counts no activity; live rows run the @p cols kernel (Packed
+     * over kHnBatchChunk-column chunks).  Rows are independent, so any
+     * row partition of a GEMM is bit-identical to the serial loop.
      */
     void evaluateRows(const HnColumns &cols, std::size_t begin,
                       std::size_t end, std::int64_t *out,
@@ -215,15 +227,20 @@ class HnArray
 
   private:
     /**
-     * Serialise the quantised column in @p scratch slot @p slot into
-     * its cached planes (Packed/Simd; a no-op under Scalar).
+     * Make the quantised column in @p scratch slot @p slot readable by
+     * @p cols.kernel: its cached planes (Packed) or its narrowed copy
+     * (Simd); a no-op under Scalar.
      */
-    static void buildPlanes(HnScratch &scratch, std::size_t slot,
-                            unsigned width, HnKernel kernel);
+    static void prepareSlot(HnScratch &scratch, std::size_t slot,
+                            const HnColumns &cols);
 
-    /** The view of @p scratch slots [0, count). */
+    /**
+     * The view of @p scratch slots [0, count) of @p dim values each,
+     * with the Simd buffer sized for them.
+     */
     static HnColumns columnsView(HnScratch &scratch, std::size_t count,
-                                 unsigned width, HnKernel kernel);
+                                 std::size_t dim, unsigned width,
+                                 HnKernel kernel);
 
     /**
      * Every row against @p cols on @p pool: the flat rows x cols.count
@@ -237,6 +254,11 @@ class HnArray
     std::size_t zeroWeights_ = 0;
     std::size_t deadRowCount_ = 0;
     std::vector<HardwiredNeuron> neurons_;
+    /**
+     * Row-major rows x cols 2*w image of the wiring, in [-12, 12]: the
+     * weights of the Simd kernel's dot product.
+     */
+    std::vector<std::int8_t> image_;
     /** Per-row dead mask; empty when no row is dead. */
     std::vector<std::uint8_t> dead_;
 };

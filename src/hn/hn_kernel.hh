@@ -13,27 +13,27 @@
  *    word), compile each region's input list into mask words at
  *    programming time, and reduce each (plane, region) pair with
  *    popcount(plane & mask) for every column in one mask traversal;
- *  - Simd: the vectorised Packed model -- the same region-mask
- *    traversal with a SIMD inner loop (AVX-512 VPOPCNTQ or an AVX2
- *    Mula popcount, dispatched at runtime behind the HNLPU_SIMD
- *    compile-time gate; the Packed loop otherwise), cache-blocked word
- *    tiles and all-zero plane skipping (src/hn/hn_simd.{hh,cc}).
+ *  - Simd: the row's exact integer directly -- narrow each column to
+ *    int16 once per GEMM and take a plain dot product with the array's
+ *    int8 image of 2*w, built at programming time; one C++ loop,
+ *    compiled per instruction-set tier and dispatched at runtime
+ *    (src/hn/hn_simd.{hh,cc}).  Columns wider than 16 bits run Packed.
  *
  * All kernels produce identical integer outputs and identical
- * HnActivity counters (the word-parallel kernels still account logical
- * region bits, not words, and zero-skips never change the counters);
- * tests/test_hn_kernel.cc pins this.  Packed is the engine default.
+ * HnActivity counters (every kernel accounts the logical wires of the
+ * modelled fabric, not host work); tests/test_hn_kernel.cc pins this.
+ * Packed is the engine default.
  *
  * HnScratch owns the per-column buffers (quantised columns, their
- * CachedPlanes, staged outputs) of one in-flight GEMM or MoE expert
- * stage.  HnScratchArena recycles scratches across calls and across
- * concurrent callers through a lock-free slot array -- acquire/release
- * are a single atomic exchange on the caller's preferred slot in
- * steady state, so leasing never serialises concurrent GEMMs the way
- * the old mutex-guarded freelist did.  The
- * arena hands each caller an exclusive scratch; the PackedPlanes built
- * into it are then shared strictly read-only by the row workers of that
- * one GEMM or stage.
+ * CachedPlanes or narrowed copies, staged outputs) of one in-flight
+ * GEMM or MoE expert stage.  HnScratchArena recycles scratches across
+ * calls and across concurrent callers through a lock-free slot array
+ * -- acquire/release are a single atomic exchange on the caller's
+ * preferred slot in steady state, so leasing never serialises
+ * concurrent GEMMs the way the old mutex-guarded freelist did.  The
+ * arena hands each caller an exclusive scratch; the PackedPlanes or
+ * narrowed columns built into it are then shared strictly read-only by
+ * the row workers of that one GEMM or stage.
  */
 
 #ifndef HNLPU_HN_HN_KERNEL_HH
@@ -107,8 +107,8 @@ class CachedPlanes
  * (exclusively owned while leased).  Every per-column buffer is
  * indexed by a column slot; all of them grow on demand and never
  * shrink, so a recycled scratch keeps its buffers across calls and
- * steady-state decode allocates neither plane words, quantised
- * columns nor staged outputs.
+ * steady-state decode allocates neither plane words, narrowed or
+ * quantised columns nor staged outputs.
  */
 struct HnScratch
 {
@@ -125,6 +125,12 @@ struct HnScratch
     std::vector<const double *> columns;
     /** Real-valued staging for the GEMM outputs of the lease holder. */
     std::vector<double> values;
+    /**
+     * Simd kernel: every slot's quantised column narrowed to int16,
+     * slot b at [b * dim].  Grown by HnArray::prepareColumns, never
+     * shrunk.
+     */
+    std::vector<std::int16_t> narrowed;
 
     /** Grow every per-slot buffer to at least @p slots slots. */
     void ensureSlots(std::size_t slots);

@@ -5,7 +5,6 @@
 #include "arith/bitserial.hh"
 #include "arith/csa.hh"
 #include "common/logging.hh"
-#include "hn/hn_simd.hh"
 
 namespace hnlpu {
 
@@ -116,9 +115,9 @@ HardwiredNeuron::addActivity(unsigned width, std::size_t columns,
         return;
     // Logical wires examined (one per region input per plane), not host
     // words: the counters model the hardware popcount fabric, not the
-    // emulation, so zero-plane skips and the shared mask loads never
-    // change them.  A batch is exactly `columns` single-column
-    // evaluations' worth of logical work.
+    // emulation, so the shared mask loads and the Simd kernel's dot
+    // product never change them.  A batch is exactly `columns`
+    // single-column evaluations' worth of logical work.
     const CsaTreeShape tree = csaTreeShape(regionMasks_.size());
     activity->cycles += columns * bitSerialCycles(width, tree.depth);
     activity->popcountBitOps += columns * width * region_bits;
@@ -211,40 +210,6 @@ HardwiredNeuron::computePackedBatch(const PackedPlanes *const *planes,
     }
 
     addActivity(width, batch, region_bits, activity);
-}
-
-void
-HardwiredNeuron::computeSimdBatch(const PackedPlanes *const *planes,
-                                  std::size_t batch, std::int64_t *out,
-                                  HnActivity *activity) const
-{
-    // Below kHnSimdMinWords the Packed batch loop is the fastest exact
-    // path, and the Portable tier has no vector body of its own.
-    if (wordsPerPlane_ < kHnSimdMinWords ||
-        hnSimdLevel() == HnSimdLevel::Portable) {
-        computePackedBatch(planes, batch, out, activity);
-        return;
-    }
-    checkBatch(planes, batch);
-
-    // Region-major sums, [r * batch + b]: region count <= kFp4Codes.
-    std::int64_t region_sums[kFp4Codes * kHnBatchChunk];
-    hnRegionSumsBatch(planes, batch, maskWords_.data(),
-                      regionMasks_.data(), regionMasks_.size(),
-                      wordsPerPlane_, region_sums);
-
-    const auto &twice = fp4TwiceValueTable();
-    for (std::size_t b = 0; b < batch; ++b)
-        out[b] = 0;
-    std::size_t region_bits = 0;
-    for (std::size_t r = 0; r < regionMasks_.size(); ++r) {
-        const std::int64_t weight = twice[regionMasks_[r].code];
-        for (std::size_t b = 0; b < batch; ++b)
-            out[b] += region_sums[r * batch + b] * weight;
-        region_bits += regionMasks_[r].bits;
-    }
-
-    addActivity(planes[0]->width(), batch, region_bits, activity);
 }
 
 std::int64_t

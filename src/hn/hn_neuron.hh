@@ -15,6 +15,9 @@
  * The model is bit-exact: for integer activations x and FP4 weights w,
  * computeSerial() returns sum_i (2*w_i) * x_i, so (result * scale / 2)
  * reproduces the real dot product up to activation quantisation only.
+ * Because that integer is all a row produces, HnArray's Simd kernel
+ * computes it as a plain dot product (hn/hn_simd.hh) and takes its
+ * HnActivity from addActivity, which depends only on the wiring.
  */
 
 #ifndef HNLPU_HN_HN_NEURON_HH
@@ -30,10 +33,10 @@
 namespace hnlpu {
 
 /**
- * Maximum batch width one computePackedBatch() / computeSimdBatch()
- * call accepts.  The kernels keep per-column region accumulators and a
- * plane-pointer row per column on the stack; callers with wider
- * batches chunk their columns (HnArray::gemmSerial does).
+ * Maximum batch width one computePackedBatch() call accepts.  The
+ * kernel keeps per-column region accumulators and a plane-pointer row
+ * per column on the stack; callers with wider batches chunk their
+ * columns (HnArray::evaluateRows does).
  */
 inline constexpr std::size_t kHnBatchChunk = 8;
 
@@ -118,20 +121,6 @@ class HardwiredNeuron
                             std::size_t batch, std::int64_t *out,
                             HnActivity *activity = nullptr) const;
 
-    /**
-     * computePackedBatch with the SIMD multi-column body
-     * (hnRegionSumsBatch, src/hn/hn_simd.hh): per region and per group
-     * of up to four columns, each mask vector is loaded once and ANDed
-     * into every column's plane, per-bit popcounts fold into per-column
-     * vector accumulators, and each (region, column) pays one
-     * horizontal reduction.  Same contract, results and HnActivity as
-     * computePackedBatch.  Rows below kHnSimdMinWords, and every row
-     * while the active tier is Portable, run computePackedBatch.
-     */
-    void computeSimdBatch(const PackedPlanes *const *planes,
-                          std::size_t batch, std::int64_t *out,
-                          HnActivity *activity = nullptr) const;
-
     /** Same result via direct integer arithmetic (oracle). */
     std::int64_t computeReference(
         const std::vector<std::int64_t> &activations) const;
@@ -144,20 +133,22 @@ class HardwiredNeuron
         return regionMasks_;
     }
 
+    /**
+     * Add @p columns single-column evaluations' worth of logical
+     * activity at @p width to @p activity (no-op when null): what
+     * computeSerial counts, which depends on the wiring and not on the
+     * data.  @p region_bits is the sum of regionMasks_[r].bits, which
+     * the Packed kernel totals in its region loop: a member would grow
+     * the object, and a separate loop here costs measurable time per
+     * row.
+     */
+    void addActivity(unsigned width, std::size_t columns,
+                     std::size_t region_bits, HnActivity *activity) const;
+
   private:
     /** Assert the batch-kernel contract on @p planes / @p batch. */
     void checkBatch(const PackedPlanes *const *planes,
                     std::size_t batch) const;
-
-    /**
-     * Add @p columns single-column evaluations' worth of logical
-     * activity at @p width to @p activity (no-op when null).
-     * @p region_bits is the sum of regionMasks_[r].bits, which the
-     * kernels total in their region loops: a member would grow the
-     * object, and a separate loop here costs measurable time per row.
-     */
-    void addActivity(unsigned width, std::size_t columns,
-                     std::size_t region_bits, HnActivity *activity) const;
 
     WireTopology topology_;
     /** Packed mask stripes; see RegionMask. */

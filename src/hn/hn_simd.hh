@@ -1,45 +1,36 @@
 /**
  * @file
- * SIMD inner loop of the packed HN kernel (HnKernel::Simd).
+ * Exact integer dot-product body of the HN Simd kernel (HnKernel::Simd).
  *
- * The packed kernel's hot loop is, per neuron row, a
- * (region x bit-plane x word) traversal of
- * popcount(plane_word & mask_word) for every activation column.  This
- * module computes the per-(region, column) weighted sums of that
- * traversal for up to kHnBatchChunk columns at once (a solo decode is
- * a batch of one) with:
+ * A Hardwired-Neuron row returns sum_i (2*w_i) * x_i as an exact
+ * integer (hn_neuron.hh).  The Simd kernel computes that integer
+ * directly instead of emulating the popcount fabric:
  *
- *  - a vectorised AND+POPCNT body: AVX-512 VPOPCNTQ (8 words per
- *    instruction) or an AVX2 nibble-LUT popcount (Mula's algorithm, 4
- *    words per step), selected once at runtime via
- *    __builtin_cpu_supports behind the HNLPU_SIMD compile-time gate.
- *    The Portable tier has no body of its own: with it (always the
- *    case when HNLPU_SIMD=OFF or on non-x86 targets)
- *    HardwiredNeuron::computeSimdBatch runs computePackedBatch;
- *  - column groups: per region and per group of up to four columns,
- *    each mask vector is loaded once and ANDed into every column's
- *    plane, the per-bit popcounts stay in vector lanes and fold into
- *    per-column lane accumulators shifted by the plane's bit, and one
- *    horizontal reduction per (region, column) replaces one per
- *    (region, bit, column);
- *  - all-zero plane skipping: a bit plane that is zero in every column
- *    of a group (PackedPlanes::nonZeroPlaneMask, free at build time)
- *    is never loaded -- the bit-sparsity idea of Laconic /
- *    DynamicStripes applied to the host emulation;
- *  - cache blocking: the word dimension is processed in fixed tiles so
- *    one tile of every region's mask stripe plus the touched planes
- *    fits in L1 even for very wide rows, instead of streaming each
- *    full stripe per (region, bit) pair.
+ *  - HnArray keeps a row-major int8 image of 2*w (FP4 e2m1, so every
+ *    entry lies in [-12, 12]), built once when the array is programmed:
+ *    like the metal wires, it never changes afterwards;
+ *  - HnArray::prepareColumns narrows each quantised activation column
+ *    of up to kHnDotMaxWidth bits to int16; wider columns run the
+ *    Packed kernel instead;
+ *  - each row is one multiply-accumulate loop per column,
+ *    hnDotBatch.
  *
- * Bit-exactness is structural, not approximate: every per-(region,
- * bit, tile) count is an exact integer, integer addition is
- * associative, and zero planes contribute exactly 0 -- so the region
- * sums (and with them the neuron output and HnActivity counters, which
- * count logical wires regardless of skips) are identical to
- * computeSerial/computePackedBatch.  tests/test_hn_kernel.cc pins the
- * kernels against each other on every tier the host supports
- * (ScopedHnSimdLevel), and tests/test_serving.cc pins batched columns
- * against solo GEMVs.
+ * Bit-exactness is structural: integer addition is associative, so any
+ * evaluation order yields the same integer as the bit-serial
+ * reduction, provided the accumulator cannot overflow.  The loop
+ * accumulates in int32 when 12 * 2^(width-1) * n < 2^31 (no sum of n
+ * products can leave the int32 range) and in int64 otherwise.
+ *
+ * The one loop is compiled once per instruction-set tier, each copy
+ * under its own target attribute, and the tier is chosen once at
+ * runtime via __builtin_cpu_supports: AVX-512BW, AVX2, and Portable,
+ * the baseline-ISA build.  With HNLPU_SIMD=OFF, or off x86, Portable
+ * is the only tier.  (An AVX-512 VNNI build was measured too: GCC
+ * turns the reduction into one VPDPWSSD dependency chain, which ran
+ * ~10% slower than VPMADDWD + VPADDD, so there is none.)  Every tier
+ * runs the same source, so they differ only in speed;
+ * tests/test_hn_kernel.cc pins each supported tier against the Scalar
+ * and Packed kernels (ScopedHnSimdLevel).
  */
 
 #ifndef HNLPU_HN_HN_SIMD_HH
@@ -49,24 +40,19 @@
 #include <cstdint>
 #include <vector>
 
-#include "arith/bitserial.hh"
-#include "hn/hn_neuron.hh"
-
 namespace hnlpu {
 
 /** Instruction-set tier the Simd kernel resolved to (once, at startup). */
 enum class HnSimdLevel { Portable, Avx2, Avx512 };
 
 /**
- * Minimum words per plane before the vector bodies pay off.  Each tile
- * call costs dispatch, tail masking and a horizontal reduction; below
- * ~two 512-bit iterations that fixed cost exceeds the popcount work
- * itself, so narrower rows take computePackedBatch's fused loop instead
- * (HardwiredNeuron::computeSimdBatch delegates).  The cutover only
- * selects between exact-integer loops, so results are bit-identical on
- * both sides.
+ * Widest activation the dot body takes (int16 columns).  Simd GEMMs on
+ * wider activations run the Packed kernel.  Narrower activations are
+ * int16 too: GCC vectorises int8 x int16 into multiply-add pairs
+ * (VPMADDWD), but int8 x int8 into 16-bit multiplies plus widening
+ * adds, which measured slower.
  */
-inline constexpr std::size_t kHnSimdMinWords = 16;
+inline constexpr unsigned kHnDotMaxWidth = 16;
 
 /**
  * The active tier: the best supported tier under the HNLPU_SIMD gate,
@@ -88,8 +74,7 @@ std::vector<HnSimdLevel> hnSupportedSimdLevels();
  * hnSupportedSimdLevels(), for this object's lifetime; the previous
  * tier is restored on destruction.  The tier is process-wide, so only
  * construct one while no kernel is running on another thread.  This
- * lets an AVX-512 host execute the AVX2 body and the Portable
- * fallback too.
+ * lets an AVX-512 host execute the AVX2 and Portable builds too.
  */
 class ScopedHnSimdLevel
 {
@@ -105,24 +90,14 @@ class ScopedHnSimdLevel
 };
 
 /**
- * For @p cols activation columns in one traversal of the region masks,
- * region_sums[r * cols + c] receives sum over bit planes of
- * (+-2^bit) * popcount(planes[c]->plane(bit) & mask stripe of
- * regions[r]), using the active SIMD tier.  @p mask_words is the
- * neuron's packed mask buffer (stripes located by regions[r].wordOffset,
- * each @p words_per_plane words).  The caller
- * (HardwiredNeuron::computeSimdBatch) guarantees the batch contract:
- * @p cols in [1, kHnBatchChunk], every column of one width and
- * @p words_per_plane words.  The active tier must have a vector body
- * (not Portable) and @p words_per_plane must be at least
- * kHnSimdMinWords.  @p region_sums must hold region_count * cols
- * entries; it is fully overwritten.
+ * out[b] = sum_i row[i] * x[b * n + i] over i in [0, n), for every
+ * column b in [0, batch), exactly, on the active tier.  @p row holds
+ * 2*w codes in [-12, 12]; the columns hold @p width-bit two's
+ * complement values, width in [2, kHnDotMaxWidth].
  */
-void hnRegionSumsBatch(const PackedPlanes *const *planes, std::size_t cols,
-                       const std::uint64_t *mask_words,
-                       const RegionMask *regions, std::size_t region_count,
-                       std::size_t words_per_plane,
-                       std::int64_t *region_sums);
+void hnDotBatch(const std::int8_t *row, std::size_t n,
+                const std::int16_t *x, std::size_t batch, unsigned width,
+                std::int64_t *out);
 
 } // namespace hnlpu
 

@@ -13,6 +13,19 @@ namespace hnlpu::serve {
 
 namespace {
 
+/**
+ * Capped exponential retry backoff, in steps:
+ * delay(attempt) = min(cap, base << (attempt - 1)).
+ */
+constexpr std::size_t kBackoffBaseSteps = 1;
+constexpr std::size_t kBackoffCapSteps = 16;
+/** CXL send retry-timeouts before a shard is marked Degraded. */
+constexpr std::size_t kLinkTimeoutLimit = 2;
+/** Bytes per token for dispatch-cost accounting on a shard's link. */
+constexpr double kDispatchBytesPerToken = 4.0;
+/** Dispatch link model (one private frontend<->shard link each). */
+const CxlLinkParams kDispatchLink{};
+
 /** Class index for the queues_ array. */
 std::size_t
 classIndex(RequestClass cls)
@@ -59,11 +72,6 @@ RouterConfig::validate(std::size_t vocab_size) const
         hnlpu_fatal("router shards need at least one slot");
     if (interactiveQueueCapacity == 0 || batchQueueCapacity == 0)
         hnlpu_fatal("router queue capacities must be >= 1");
-    if (backoffBaseSteps == 0)
-        hnlpu_fatal("router backoff base must be >= 1 step");
-    if (backoffCapSteps < backoffBaseSteps)
-        hnlpu_fatal("router backoff cap ", backoffCapSteps,
-                    " below base ", backoffBaseSteps);
     if (probePrompt.empty() || probeTokens == 0)
         hnlpu_fatal("router health probe needs a prompt and >= 1 token");
     for (const std::size_t id : probePrompt) {
@@ -71,9 +79,6 @@ RouterConfig::validate(std::size_t vocab_size) const
             hnlpu_fatal("router probe token ", id,
                         " out of vocab range ", vocab_size);
     }
-    if (!(bytesPerToken > 0.0))
-        hnlpu_fatal("router bytesPerToken must be positive");
-    link.validate();
 }
 
 ShardState
@@ -117,7 +122,7 @@ ServingRouter::ServingRouter(const TransformerConfig &cfg,
             prefix = std::make_shared<PrefixCache>(engine->kvPool(),
                                                    exec_.sink);
         shards_.emplace_back(std::move(engine), std::move(prefix),
-                             config_.slotsPerShard, config_.link);
+                             config_.slotsPerShard, kDispatchLink);
     }
 
     // Golden health-probe transcript from a throwaway clean engine
@@ -386,12 +391,10 @@ ServingRouter::failoverShard(std::size_t shard_index, std::size_t step)
         }
         ++stats_.retries;
         const std::size_t shift = state.attempts - 1;
-        std::size_t delay = config_.backoffCapSteps;
+        std::size_t delay = kBackoffCapSteps;
         if (shift < 8 * sizeof(std::size_t) &&
-            (config_.backoffBaseSteps << shift) >>
-                    shift == config_.backoffBaseSteps)
-            delay = std::min(config_.backoffCapSteps,
-                             config_.backoffBaseSteps << shift);
+            (kBackoffBaseSteps << shift) >> shift == kBackoffBaseSteps)
+            delay = std::min(kBackoffCapSteps, kBackoffBaseSteps << shift);
         state.readyStep = step + delay;
         recovery.record.inflight++;
         recovery.waiting.push_back(id);
@@ -572,7 +575,7 @@ ServingRouter::dispatchSend(std::size_t shard_index,
         return;
     const std::uint64_t before = shard.fabric->retryTimeouts();
     shard.linkNow = shard.fabric->send(
-        0, 1, Bytes(double(tokens) * config_.bytesPerToken),
+        0, 1, Bytes(double(tokens) * kDispatchBytesPerToken),
         shard.linkNow);
     const std::uint64_t delta =
         shard.fabric->retryTimeouts() - before;
@@ -580,7 +583,7 @@ ServingRouter::dispatchSend(std::size_t shard_index,
         return;
     shard.linkTimeouts += delta;
     stats_.linkTimeouts += delta;
-    if (shard.linkTimeouts >= config_.linkTimeoutLimit &&
+    if (shard.linkTimeouts >= kLinkTimeoutLimit &&
         !shard.linkLossy) {
         shard.linkLossy = true;
         hnlpu_warn_ratelimited("router: shard ", shard_index,

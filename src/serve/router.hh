@@ -226,14 +226,11 @@ struct RouterConfig
     /** Bounded queue capacities per class (backpressure). */
     std::size_t interactiveQueueCapacity = 256;
     std::size_t batchQueueCapacity = 256;
-    /** Re-dispatches allowed after a shard failure. */
+    /**
+     * Re-dispatches allowed after a shard failure, each after a capped
+     * exponential backoff of min(16, 1 << (attempt - 1)) steps.
+     */
     std::size_t maxRetries = 3;
-    /** Capped exponential backoff for retries, in steps:
-     *  delay(attempt) = min(cap, base << (attempt - 1)). */
-    std::size_t backoffBaseSteps = 1;
-    std::size_t backoffCapSteps = 16;
-    /** CXL send retry-timeouts before a shard is marked Degraded. */
-    std::size_t linkTimeoutLimit = 2;
     /** Greedy health-probe transcript (must be in vocab). */
     std::vector<std::size_t> probePrompt = {1, 2, 3};
     std::size_t probeTokens = 4;
@@ -249,10 +246,6 @@ struct RouterConfig
      * repaired shard never serves KV computed by its predecessor.
      */
     bool prefixCache = false;
-    /** Dispatch link model (one private frontend<->shard link each). */
-    CxlLinkParams link;
-    /** Bytes per token for dispatch-cost accounting on the link. */
-    double bytesPerToken = 4.0;
 
     void validate(std::size_t vocab_size) const;
 };

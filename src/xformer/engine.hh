@@ -41,10 +41,12 @@ struct ExecOptions
     std::size_t threads = 1; //!< total parallelism incl. calling thread
     /**
      * Hardwired-path GEMV kernel.  Packed (default) compiles region
-     * masks and shares one bit-plane serialisation per GEMV; Simd runs
-     * that traversal with the vectorised inner loop (hn/hn_simd.hh);
-     * Scalar is the original per-row emulation.  Bit-identical outputs
-     * and activity counters in all cases (tests/test_hn_kernel.cc).
+     * masks and shares one bit-plane serialisation per GEMV; Simd
+     * takes each row's exact dot product with an int8 image of 2*w
+     * built at programming time (hn/hn_simd.hh; Packed for
+     * activations wider than 16 bits); Scalar is the original per-row
+     * emulation.  Bit-identical outputs and activity counters in all
+     * cases (tests/test_hn_kernel.cc).
      */
     HnKernel kernel = HnKernel::Packed;
     /**

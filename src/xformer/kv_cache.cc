@@ -139,40 +139,6 @@ KvCache::ensureWritableTail(std::size_t next_layer)
 }
 
 void
-KvCache::append(std::size_t layer, const std::vector<Vec> &keys,
-                const std::vector<Vec> &values)
-{
-    const KvPoolConfig &cfg = pool_->config();
-    hnlpu_assert(layer < cfg.layers, "layer out of range");
-    hnlpu_assert(keys.size() == cfg.kvHeads &&
-                     values.size() == cfg.kvHeads,
-                 "append expects one K/V per head");
-    // Layers must append in order 0..L-1 for each token; length_
-    // advances when the last layer lands.
-    hnlpu_assert(layer >= nextLayer_,
-                 "KV append out of order: layer ", layer, " holds ",
-                 length_ + 1, " tokens, cache length is ", length_);
-    hnlpu_assert(layer <= nextLayer_, "KV append skipped layer ",
-                 nextLayer_, " for token ", length_);
-    ensureWritableTail(nextLayer_);
-    const std::size_t tok = length_ % cfg.blockTokens;
-    double *blk = blockPtrs_.back();
-    for (std::size_t h = 0; h < cfg.kvHeads; ++h) {
-        hnlpu_assert(keys[h].size() == cfg.headDim &&
-                         values[h].size() == cfg.headDim,
-                     "K/V head dim mismatch");
-        std::copy(keys[h].begin(), keys[h].end(),
-                  blk + pool_->keyOffset(layer, h, tok));
-        std::copy(values[h].begin(), values[h].end(),
-                  blk + pool_->valueOffset(layer, h, tok));
-    }
-    if (++nextLayer_ == cfg.layers) {
-        nextLayer_ = 0;
-        ++length_;
-    }
-}
-
-void
 KvCache::appendFlat(std::size_t layer, const Vec &k_flat,
                     const Vec &v_flat)
 {
@@ -181,6 +147,8 @@ KvCache::appendFlat(std::size_t layer, const Vec &k_flat,
     hnlpu_assert(k_flat.size() == cfg.kvHeads * cfg.headDim &&
                      v_flat.size() == cfg.kvHeads * cfg.headDim,
                  "flat K/V projection size mismatch");
+    // Layers must append in order 0..L-1 for each token; length_
+    // advances when the last layer lands.
     hnlpu_assert(layer >= nextLayer_,
                  "KV append out of order: layer ", layer, " holds ",
                  length_ + 1, " tokens, cache length is ", length_);
@@ -201,32 +169,6 @@ KvCache::appendFlat(std::size_t layer, const Vec &k_flat,
         nextLayer_ = 0;
         ++length_;
     }
-}
-
-const double *
-KvCache::key(std::size_t layer, std::size_t head, std::size_t pos) const
-{
-    const KvPoolConfig &cfg = pool_->config();
-    hnlpu_assert(layer < cfg.layers, "layer out of range");
-    hnlpu_assert(head < cfg.kvHeads, "head out of range");
-    hnlpu_assert(pos < length_ || (pos == length_ && layer < nextLayer_),
-                 "pos out of range");
-    const std::size_t B = cfg.blockTokens;
-    return blockPtrs_[pos / B] + pool_->keyOffset(layer, head, pos % B);
-}
-
-const double *
-KvCache::value(std::size_t layer, std::size_t head,
-               std::size_t pos) const
-{
-    const KvPoolConfig &cfg = pool_->config();
-    hnlpu_assert(layer < cfg.layers, "layer out of range");
-    hnlpu_assert(head < cfg.kvHeads, "head out of range");
-    hnlpu_assert(pos < length_ || (pos == length_ && layer < nextLayer_),
-                 "pos out of range");
-    const std::size_t B = cfg.blockTokens;
-    return blockPtrs_[pos / B] +
-           pool_->valueOffset(layer, head, pos % B);
 }
 
 void

@@ -33,6 +33,7 @@
 #include <memory>
 #include <vector>
 
+#include "common/logging.hh"
 #include "xformer/kv_block_pool.hh"
 #include "xformer/tensor.hh"
 
@@ -67,27 +68,35 @@ class KvCache
     KvCache(const KvCache &) = delete;
     KvCache &operator=(const KvCache &) = delete;
 
-    /** Append one token's keys/values for a layer (kv_heads vectors). */
-    void append(std::size_t layer, const std::vector<Vec> &keys,
-                const std::vector<Vec> &values);
-
     /**
      * Append one token's keys/values for a layer from flat projection
      * rows (kvHeads * headDim doubles each, head-major, post-RoPE),
-     * written straight into block storage -- the hot decode path, with
-     * no per-head vector materialization.
+     * written straight into block storage with no per-head vector
+     * materialization.  Layers append in order 0..layers-1 per token.
      */
     void appendFlat(std::size_t layer, const Vec &k_flat,
                     const Vec &v_flat);
 
     /**
      * Cached key of token @p pos, head @p head, layer @p layer:
-     * headDim() doubles, stable for the pool's lifetime.
+     * headDim() doubles, stable for the pool's lifetime.  Inline:
+     * attention calls these once per cached position.
      */
     const double *key(std::size_t layer, std::size_t head,
-                      std::size_t pos) const;
+                      std::size_t pos) const
+    {
+        checkPosition(layer, head, pos);
+        const std::size_t B = pool_->config().blockTokens;
+        return blockPtrs_[pos / B] + pool_->keyOffset(layer, head, pos % B);
+    }
     const double *value(std::size_t layer, std::size_t head,
-                        std::size_t pos) const;
+                        std::size_t pos) const
+    {
+        checkPosition(layer, head, pos);
+        const std::size_t B = pool_->config().blockTokens;
+        return blockPtrs_[pos / B] +
+               pool_->valueOffset(layer, head, pos % B);
+    }
 
     /** Tokens currently cached (uniform across layers). */
     std::size_t length() const { return length_; }
@@ -121,6 +130,18 @@ class KvCache
     }
 
   private:
+    /** Assert that (@p layer, @p head, @p pos) is a cached entry. */
+    void checkPosition(std::size_t layer, std::size_t head,
+                       std::size_t pos) const
+    {
+        const KvPoolConfig &cfg = pool_->config();
+        hnlpu_assert(layer < cfg.layers, "layer out of range");
+        hnlpu_assert(head < cfg.kvHeads, "head out of range");
+        hnlpu_assert(pos < length_ ||
+                         (pos == length_ && layer < nextLayer_),
+                     "pos out of range");
+    }
+
     /** Release every block reference this cache owns. */
     void release();
     /**

@@ -1,26 +1,26 @@
 /**
  * @file
- * Bit-exactness sweep of the Packed (word-parallel) and Simd
- * (vectorised, zero-skipping, cache-tiled) HN GEMV kernels against the
- * Scalar (per-wire emulation) kernel: outputs AND HnActivity counters
- * must be identical across activation widths, ragged (cols % 64 != 0)
- * shapes, all-zero / high-plane-sparse activations, dead-row masks,
- * stuck-at faulted weights and thread counts.  Also covers the
- * PackedPlanes serializer (incl. the non-zero-plane occupancy mask),
- * the lock-free scratch arena (recycling, exception safety of the
- * lease, concurrent acquire/release), CachedPlanes rebuild avoidance,
- * and end-to-end engine equality under ExecOptions::kernel.  The Simd
- * checks on rows above the kHnSimdMinWords cutover run once per SIMD
- * tier the host supports (ScopedHnSimdLevel), so an AVX-512 host
- * executes the AVX2 body and the Portable fallback (the Packed batch
- * kernel) too.  Single-column checks call the batch kernels with one
+ * Bit-exactness sweep of the Packed (word-parallel popcount) and Simd
+ * (int8 2*w image dot product) HN GEMM kernels against the Scalar
+ * (per-wire emulation) kernel: outputs AND HnActivity counters must be
+ * identical across activation widths (2-16 on the dot body, wider ones
+ * on its Packed fallback), ragged (cols % 64 != 0) shapes, batches
+ * across kHnBatchChunk, all-zero / sparse activations, dead-row masks,
+ * stuck-at faulted weights, thread counts and sums past the int32
+ * range.  Also covers the PackedPlanes serializer, the lock-free
+ * scratch arena (recycling, exception safety of the lease, concurrent
+ * acquire/release), CachedPlanes rebuild avoidance, and end-to-end
+ * engine equality under ExecOptions::kernel.  Every Simd check runs
+ * once per SIMD tier the host supports (ScopedHnSimdLevel), so an
+ * AVX-512 host executes the AVX2 and Portable builds of the dot loop
+ * too.  Single-column Packed checks call the batch kernel with one
  * column: a solo evaluation is a batch of one.
  *
  * Registered under ctest label `kernel`; scripts/tier1.sh runs it, like
- * every test, under ThreadSanitizer to prove the per-GEMV PackedPlanes
- * is shared strictly read-only across row workers and the arena's
- * atomic slot handoff is race-free, and with -DHNLPU_SIMD=OFF to keep
- * the Portable Simd fallback honest.
+ * every test, under ThreadSanitizer to prove the per-GEMM columns are
+ * shared strictly read-only across row workers and the arena's atomic
+ * slot handoff is race-free, and with -DHNLPU_SIMD=OFF, where the
+ * Portable build is the only tier.
  */
 
 #include <gtest/gtest.h>
@@ -99,17 +99,6 @@ packedOne(const HardwiredNeuron &neuron, const PackedPlanes &planes,
     return out;
 }
 
-/** computeSimdBatch of the single column @p planes. */
-std::int64_t
-simdOne(const HardwiredNeuron &neuron, const PackedPlanes &planes,
-        HnActivity *activity)
-{
-    const PackedPlanes *column = &planes;
-    std::int64_t out = 0;
-    neuron.computeSimdBatch(&column, 1, &out, activity);
-    return out;
-}
-
 // -- SIMD tier override ---------------------------------------------------
 
 TEST(SimdTier, ScopedLevelForcesEverySupportedTierAndRestores)
@@ -182,43 +171,6 @@ TEST(PackedPlanes, RebuildReusesGeometryAndRejectsOverflow)
     EXPECT_DEATH(planes.build({128}, 8), "does not fit");
 }
 
-TEST(PackedPlanes, NonZeroPlaneMaskTracksOccupancy)
-{
-    PackedPlanes planes;
-    // All-zero input: every plane empty.
-    planes.build(std::vector<std::int64_t>(100, 0), 8);
-    EXPECT_EQ(planes.nonZeroPlaneMask(), 0u);
-    for (unsigned bit = 0; bit < 8; ++bit)
-        EXPECT_FALSE(planes.planeNonZero(bit));
-
-    // Small positive values: only the low planes carry bits (the
-    // high-plane sparsity the Simd kernel skips).
-    planes.build({1, 2, 3, 1, 0, 2}, 8);
-    EXPECT_EQ(planes.nonZeroPlaneMask(), 0b11u);
-    EXPECT_TRUE(planes.planeNonZero(0));
-    EXPECT_TRUE(planes.planeNonZero(1));
-    EXPECT_FALSE(planes.planeNonZero(7));
-
-    // A negative value sets every plane from its magnitude up through
-    // the sign plane (two's complement sign extension).
-    planes.build({-1}, 4);
-    EXPECT_EQ(planes.nonZeroPlaneMask(), 0b1111u);
-
-    // Random sweep: the mask must equal the OR-fold of the planes'
-    // actual words.
-    for (unsigned width : {4u, 8u, 16u}) {
-        const auto values = randomActivations(130, width, 7 + width);
-        planes.build(values, width);
-        for (unsigned bit = 0; bit < width; ++bit) {
-            std::uint64_t any = 0;
-            for (std::size_t w = 0; w < planes.wordsPerPlane(); ++w)
-                any |= planes.plane(bit)[w];
-            EXPECT_EQ(planes.planeNonZero(bit), any != 0)
-                << "width " << width << " bit " << bit;
-        }
-    }
-}
-
 // -- neuron- and array-level bit-exactness --------------------------------
 
 TEST(PackedKernel, NeuronMatchesSerialAcrossWidths)
@@ -230,136 +182,167 @@ TEST(PackedKernel, NeuronMatchesSerialAcrossWidths)
     ASSERT_TRUE(topo.has_value());
     const HardwiredNeuron neuron(std::move(*topo));
 
-    forEachSimdTier([&] {
-        for (unsigned width : {4u, 8u, 16u}) {
-            const auto acts = randomActivations(cols, width, width);
-            HnActivity serial_act, packed_act, simd_act;
-            const std::int64_t serial =
-                neuron.computeSerial(acts, width, &serial_act);
-            PackedPlanes planes;
-            planes.build(acts, width);
-            const std::int64_t packed =
-                packedOne(neuron, planes, &packed_act);
-            const std::int64_t simd = simdOne(neuron, planes, &simd_act);
-            EXPECT_EQ(packed, serial) << "width " << width;
-            EXPECT_EQ(simd, serial) << "width " << width;
-            EXPECT_EQ(packed, neuron.computeReference(acts));
-            expectActivityEq(packed_act, serial_act);
-            expectActivityEq(simd_act, serial_act);
-        }
-    });
+    for (unsigned width : {4u, 8u, 16u}) {
+        const auto acts = randomActivations(cols, width, width);
+        HnActivity serial_act, packed_act;
+        const std::int64_t serial =
+            neuron.computeSerial(acts, width, &serial_act);
+        PackedPlanes planes;
+        planes.build(acts, width);
+        const std::int64_t packed = packedOne(neuron, planes, &packed_act);
+        EXPECT_EQ(packed, serial) << "width " << width;
+        EXPECT_EQ(packed, neuron.computeReference(acts));
+        expectActivityEq(packed_act, serial_act);
+    }
 }
 
 TEST(SimdKernel, AllZeroAndSparseHighPlanesStayBitExact)
 {
-    // All-zero activations leave every plane empty (full plane-skip
-    // path); small positive values leave the high planes empty and
-    // long zero runs in the low ones (block-skip path).  Both must be
-    // bit-exact against Scalar, counters included, below the Simd
-    // cutover (190 columns: 3 words) and above it on every tier (1090
-    // columns: 18 words, ragged in the last word and vector).
+    // All-zero activations and sparse small positive ones (long zero
+    // runs, every plane above bit 1 empty) must be bit-exact against
+    // Scalar, counters included: the modelled fabric clocks every wire
+    // whatever the data.
     for (std::size_t cols : {190u, 1090u}) {
-        const auto tmpl = makeTemplate(cols);
-        const auto weights = syntheticFp4Weights(cols, 31);
-        auto topo = WireTopology::program(tmpl, weights);
-        ASSERT_TRUE(topo.has_value());
-        const HardwiredNeuron neuron(std::move(*topo));
-
+        const std::size_t rows = 4;
+        const HnArray array(makeTemplate(cols),
+                            syntheticFp4Weights(rows * cols, 31), rows,
+                            cols);
         const std::vector<std::int64_t> zeros(cols, 0);
         std::vector<std::int64_t> sparse(cols, 0);
         for (std::size_t i = 0; i < cols; i += 7)
             sparse[i] = std::int64_t(1 + (i % 3)); // 1..3: planes 0-1
 
-        forEachSimdTier([&] {
-            for (const auto &acts : {zeros, sparse}) {
-                for (unsigned width : {4u, 8u, 16u}) {
-                    HnActivity serial_act, simd_act;
-                    const std::int64_t serial =
-                        neuron.computeSerial(acts, width, &serial_act);
-                    PackedPlanes planes;
-                    planes.build(acts, width);
-                    const std::int64_t simd =
-                        simdOne(neuron, planes, &simd_act);
-                    EXPECT_EQ(simd, serial)
+        for (const auto &acts : {zeros, sparse}) {
+            for (unsigned width : {4u, 8u, 16u}) {
+                HnActivity scalar_act;
+                const auto scalar = array.gemvSerial(
+                    acts, width, &scalar_act, nullptr, HnKernel::Scalar);
+                EXPECT_EQ(scalar, array.gemvReference(acts));
+                forEachSimdTier([&] {
+                    HnActivity simd_act;
+                    EXPECT_EQ(array.gemvSerial(acts, width, &simd_act,
+                                               nullptr, HnKernel::Simd),
+                              scalar)
                         << "cols " << cols << " width " << width;
-                    EXPECT_EQ(simd, neuron.computeReference(acts));
-                    // Zero-skips are host shortcuts: the modelled
-                    // fabric still clocks every wire, so the counters
-                    // must not shrink.
-                    expectActivityEq(simd_act, serial_act);
-                }
+                    expectActivityEq(simd_act, scalar_act);
+                });
             }
-        });
+        }
     }
 }
 
-TEST(SimdKernel, WideRowCrossesCacheTileBoundary)
+TEST(SimdKernel, SweepMatchesScalarAndPackedOnEveryTier)
 {
-    // 40000 lanes = 625 words per plane, beyond the Simd kernel's
-    // 512-word cache tile, so the tiled traversal (including the
-    // ragged last tile and vector tail) is exercised for real.
-    const std::size_t cols = 40000;
-    const auto tmpl = makeTemplate(cols);
-    const auto weights = syntheticFp4Weights(cols, 77);
-    auto topo = WireTopology::program(tmpl, weights);
-    ASSERT_TRUE(topo.has_value());
-    const HardwiredNeuron neuron(std::move(*topo));
-
-    const auto acts = randomActivations(cols, 8, 5);
-    PackedPlanes planes;
-    planes.build(acts, 8);
-    HnActivity packed_act;
-    const std::int64_t packed = packedOne(neuron, planes, &packed_act);
-    EXPECT_EQ(packed, neuron.computeReference(acts));
-    forEachSimdTier([&] {
-        HnActivity simd_act;
-        EXPECT_EQ(simdOne(neuron, planes, &simd_act), packed);
-        expectActivityEq(simd_act, packed_act);
-    });
+    // Widths 2-16 run the dot body; 17 and 24 take its Packed
+    // fallback.  No column count is a multiple of 64 but one, and
+    // 1090 is wider than a cache line of int8 weights many times
+    // over.  Batches 1-9 cross kHnBatchChunk (8), the Packed chunk
+    // width; every batch is a prefix of the same nine columns, each
+    // scalar-evaluated alone, so batched == solo is checked too.  The
+    // pool is forced past the hardware cap so row chunks really run
+    // concurrently on the shared, read-only columns.
+    std::vector<unsigned> widths;
+    for (unsigned width = 2; width <= kHnDotMaxWidth; ++width)
+        widths.push_back(width);
+    widths.push_back(17);
+    widths.push_back(24);
+    constexpr std::size_t kColumns = 9;
+    const std::size_t rows = 12;
+    const std::vector<std::uint32_t> dead{1, 7, 11};
+    ThreadPool pool(3, /*cap_to_hardware=*/false);
+    for (std::size_t cols : {33u, 64u, 65u, 1090u}) {
+        const HnArray array(makeTemplate(cols),
+                            syntheticFp4Weights(rows * cols, 1000 + cols),
+                            rows, cols, dead);
+        for (unsigned width : widths) {
+            std::vector<std::vector<std::int64_t>> acts(kColumns);
+            std::vector<std::vector<std::int64_t>> want(kColumns);
+            std::vector<HnActivity> want_act(kColumns);
+            for (std::size_t b = 0; b < kColumns; ++b) {
+                acts[b] = randomActivations(cols, width,
+                                            cols * 64 + width * 9 + b);
+                want[b] = array.gemvSerial(acts[b], width, &want_act[b],
+                                           nullptr, HnKernel::Scalar);
+                ASSERT_EQ(want[b], array.gemvReference(acts[b]));
+                for (std::uint32_t r : dead)
+                    ASSERT_EQ(want[b][r], 0);
+            }
+            for (std::size_t batch = 1; batch <= kColumns; ++batch) {
+                const std::vector<std::vector<std::int64_t>> prefix(
+                    acts.begin(), acts.begin() + batch);
+                HnActivity prefix_act;
+                for (std::size_t b = 0; b < batch; ++b)
+                    prefix_act.add(want_act[b]);
+                const auto check = [&](HnKernel kernel, ThreadPool *p) {
+                    HnActivity act;
+                    const auto flat =
+                        array.gemmSerial(prefix, width, &act, p, kernel);
+                    ASSERT_EQ(flat.size(), rows * batch);
+                    for (std::size_t b = 0; b < batch; ++b) {
+                        for (std::size_t r = 0; r < rows; ++r) {
+                            ASSERT_EQ(flat[r * batch + b], want[b][r])
+                                << "cols " << cols << " width " << width
+                                << " batch " << batch << " b " << b
+                                << " r " << r;
+                        }
+                    }
+                    expectActivityEq(act, prefix_act);
+                };
+                check(HnKernel::Packed, nullptr);
+                check(HnKernel::Packed, &pool);
+                forEachSimdTier([&] {
+                    check(HnKernel::Simd, nullptr);
+                    check(HnKernel::Simd, &pool);
+                });
+            }
+        }
+    }
 }
 
-TEST(PackedKernel, ArraySweepWidthsShapesThreadsAndDeadRows)
+TEST(SimdKernel, WidthsAboveDotMaxRunPacked)
 {
-    // 1090 columns (18 words) is above the Simd cutover, so the sweep
-    // runs the vector bodies of every supported tier too.
-    for (std::size_t cols : {33u, 64u, 100u, 1090u}) {
-        for (unsigned width : {4u, 8u, 16u}) {
-            const std::size_t rows = 12;
-            const auto tmpl = makeTemplate(cols);
-            const auto weights =
-                syntheticFp4Weights(rows * cols, 1000 + cols + width);
-            const std::vector<std::uint32_t> dead{1, 7, 11};
-            const HnArray array(tmpl, weights, rows, cols, dead);
-            const auto acts =
-                randomActivations(cols, width, cols * width);
+    const std::size_t dim = 40;
+    HnScratch scratch;
+    scratch.ensureSlots(1);
+    const std::vector<double> column(dim, 1.0);
+    scratch.columns[0] = column.data();
+    for (unsigned width : {2u, 8u, 16u, 17u, 24u, 32u}) {
+        const HnColumns cols = HnArray::prepareColumns(
+            scratch, 1, dim, width, HnKernel::Simd, nullptr);
+        const bool dot = width <= kHnDotMaxWidth;
+        EXPECT_EQ(cols.kernel, dot ? HnKernel::Simd : HnKernel::Packed)
+            << "width " << width;
+        EXPECT_EQ(cols.narrowed != nullptr, dot);
+        EXPECT_EQ(cols.planes != nullptr, !dot);
+    }
+}
 
-            HnActivity scalar_act;
-            const auto scalar =
-                array.gemvSerial(acts, width, &scalar_act, nullptr,
-                                 HnKernel::Scalar);
-            EXPECT_EQ(scalar, array.gemvReference(acts));
-            for (std::uint32_t r : dead)
-                EXPECT_EQ(scalar[r], 0);
-
-            // Word-parallel kernels, serial and multi-threaded: same
-            // planes shared read-only by all workers (forced past the
-            // hardware cap so chunks really run concurrently), still
-            // bit-exact -- incl. the shard-merged counters.
-            ThreadPool pool(4, /*cap_to_hardware=*/false);
-            forEachSimdTier([&] {
-                for (HnKernel kernel :
-                     {HnKernel::Packed, HnKernel::Simd}) {
-                    for (ThreadPool *p : {(ThreadPool *)nullptr, &pool}) {
-                        HnActivity act;
-                        const auto got =
-                            array.gemvSerial(acts, width, &act, p, kernel);
-                        EXPECT_EQ(got, scalar)
-                            << "cols " << cols << " width " << width;
-                        expectActivityEq(act, scalar_act);
-                    }
-                }
-            });
-        }
+TEST(SimdKernel, Width16SumsPastInt32AreExact)
+{
+    // At |x| = 2^15 and |2w| = 12, 5461 products still sum inside
+    // int32 (12 * 2^15 * 5461 < 2^31) and 5462 do not, so the dot
+    // body must switch to int64 accumulation exactly there.  Row 0
+    // wires every input at +6 (2w = 12), row 1 at -6.
+    for (std::size_t cols : {5461u, 5462u}) {
+        std::vector<Fp4> weights(cols, Fp4::quantize(6.0));
+        weights.resize(2 * cols, Fp4::quantize(-6.0));
+        const HnArray array(makeTemplate(cols), weights, 2, cols);
+        const std::vector<std::int64_t> acts(cols, -32768);
+        const std::int64_t sum = -12 * 32768 * std::int64_t(cols);
+        const std::vector<std::int64_t> want{sum, -sum};
+        ASSERT_EQ(array.gemvReference(acts), want);
+        HnActivity packed_act;
+        EXPECT_EQ(array.gemvSerial(acts, 16, &packed_act, nullptr,
+                                   HnKernel::Packed),
+                  want);
+        forEachSimdTier([&] {
+            HnActivity simd_act;
+            EXPECT_EQ(array.gemvSerial(acts, 16, &simd_act, nullptr,
+                                       HnKernel::Simd),
+                      want)
+                << "cols " << cols;
+            expectActivityEq(simd_act, packed_act);
+        });
     }
 }
 
@@ -549,7 +532,8 @@ TEST(CachedPlanes, GemvWithUnchangedColumnReusesPlanes)
 {
     // Thread-affine scratch recycling + CachedPlanes: back-to-back
     // GEMVs with the same input column (wq/wk/wv in the engine) must
-    // serialise the column once, not three times.
+    // serialise the column once, not twice; the Simd GEMV narrows the
+    // column instead and builds no planes.
     const std::size_t rows = 4, cols = 40;
     const auto tmpl = makeTemplate(cols);
     const HnArray array(tmpl, syntheticFp4Weights(rows * cols, 3), rows,

@@ -336,10 +336,10 @@ TEST(MoeLayer, ParallelExpertsBitExact)
     }
 }
 
-// The expert stage's (expert, row-tile) schedule at a width where the
-// Simd body runs: up and gate read hidden = 1024 inputs (>=
-// kHnSimdMinWords words per plane).  Their 48 rows and down's 40 rows
-// cut into several 8-row tiles per expert on every pool width.
+// The expert stage's (expert, row-tile) schedule at the wide block's
+// width: up and gate read hidden = 1024 inputs.  Their 48 rows and
+// down's 40 rows cut into several 8-row tiles per expert on every pool
+// width.
 constexpr std::size_t kWideHidden = 1024;
 constexpr std::size_t kWideFfn = 48;
 constexpr std::size_t kWideOut = 40;

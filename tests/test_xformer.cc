@@ -216,11 +216,11 @@ TEST(KvCacheTest, AppendAndLookup)
 {
     KvCache cache(2, 2, 4);
     EXPECT_EQ(cache.length(), 0u);
-    std::vector<Vec> k{{1, 2, 3, 4}, {5, 6, 7, 8}};
-    std::vector<Vec> v{{9, 9, 9, 9}, {8, 8, 8, 8}};
-    cache.append(0, k, v);
+    const Vec k{1, 2, 3, 4, 5, 6, 7, 8}; // two heads, head-major
+    const Vec v{9, 9, 9, 9, 8, 8, 8, 8};
+    cache.appendFlat(0, k, v);
     EXPECT_EQ(cache.length(), 0u); // advances after the last layer
-    cache.append(1, k, v);
+    cache.appendFlat(1, k, v);
     EXPECT_EQ(cache.length(), 1u);
     EXPECT_DOUBLE_EQ(cache.key(0, 1, 0)[2], 7.0);
     EXPECT_DOUBLE_EQ(cache.value(1, 0, 0)[0], 9.0);
@@ -363,23 +363,23 @@ TEST(KvCacheTest, OutOfOrderAppendIsRejected)
 {
     // The length_ heuristic counts tokens on the last layer's append;
     // out-of-order appends used to miscount silently.
-    std::vector<Vec> k{{1, 2}, {3, 4}};
-    std::vector<Vec> v{{5, 6}, {7, 8}};
+    const Vec k{1, 2, 3, 4};
+    const Vec v{5, 6, 7, 8};
 
     KvCache skip(2, 2, 2);
-    EXPECT_DEATH(skip.append(1, k, v), "skipped layer");
+    EXPECT_DEATH(skip.appendFlat(1, k, v), "skipped layer");
 
     KvCache twice(2, 2, 2);
-    twice.append(0, k, v);
-    EXPECT_DEATH(twice.append(0, k, v), "out of order");
+    twice.appendFlat(0, k, v);
+    EXPECT_DEATH(twice.appendFlat(0, k, v), "out of order");
 
     // The legal order still tracks length correctly.
     KvCache ok(2, 2, 2);
-    ok.append(0, k, v);
-    ok.append(1, k, v);
+    ok.appendFlat(0, k, v);
+    ok.appendFlat(1, k, v);
     EXPECT_EQ(ok.length(), 1u);
-    ok.append(0, k, v);
-    ok.append(1, k, v);
+    ok.appendFlat(0, k, v);
+    ok.appendFlat(1, k, v);
     EXPECT_EQ(ok.length(), 2u);
 }
 
@@ -497,17 +497,17 @@ TEST(KvCacheTest, ReferencesStayStableAcrossAppends)
     const std::size_t layers = 2, heads = 2, dim = 4;
     const std::size_t tokens = 40; // spans multiple 16-token blocks
     KvCache cache(layers, heads, dim); // deliberately no hint
-    std::vector<Vec> k{{1, 2, 3, 4}, {5, 6, 7, 8}};
-    std::vector<Vec> v{{9, 10, 11, 12}, {13, 14, 15, 16}};
+    const Vec k{1, 2, 3, 4, 5, 6, 7, 8};
+    const Vec v{9, 10, 11, 12, 13, 14, 15, 16};
     for (std::size_t l = 0; l < layers; ++l)
-        cache.append(l, k, v);
+        cache.appendFlat(l, k, v);
 
     const double *key0 = cache.key(0, 1, 0);
     const double *val0 = cache.value(1, 0, 0);
     const Vec key0_copy(key0, key0 + dim);
     for (std::size_t t = 1; t < tokens; ++t) {
         for (std::size_t l = 0; l < layers; ++l)
-            cache.append(l, k, v);
+            cache.appendFlat(l, k, v);
         EXPECT_EQ(cache.key(0, 1, 0), key0) << "token " << t;
         EXPECT_EQ(cache.value(1, 0, 0), val0) << "token " << t;
     }
