@@ -8,6 +8,9 @@
 #include <pthread.h>
 #include <sched.h>
 #endif
+#if defined(__x86_64__) || defined(__i386__)
+#include <immintrin.h>
+#endif
 
 namespace hnlpu {
 
@@ -21,25 +24,107 @@ namespace {
  */
 thread_local bool t_in_parallel_region = false;
 
-/** Pin @p handle to @p cpu (Linux only; no-op elsewhere). */
-void
-pinToCpu([[maybe_unused]] std::thread::native_handle_type handle,
-         [[maybe_unused]] unsigned cpu)
+/** Hint the core that this thread is busy-waiting. */
+inline void
+cpuRelax()
 {
+#if defined(__x86_64__) || defined(__i386__)
+    _mm_pause();
+#elif defined(__aarch64__)
+    __asm__ __volatile__("yield");
+#endif
+    // Elsewhere the loop spins bare: its atomic load cannot be hoisted.
+}
+
+/** How long a thread parks at once after its spin lost the CPU. */
+constexpr std::chrono::milliseconds kSpinCooldown{20};
+
+/** While the clock is before this, the thread parks without spinning. */
+thread_local std::chrono::steady_clock::time_point t_spin_resumes{};
+
+/**
+ * Busy-wait until @p ready() holds or ThreadPool::kSpinBudget has
+ * passed; returns the last ready() value.  The clock is read once per
+ * 16 polls, well under a microsecond apart.  A gap between two reads
+ * longer than the whole budget means another task ran on this CPU:
+ * the host is oversubscribed, and spinning would spend the time slice
+ * the work needs (and the scheduler's credit for having slept), so the
+ * thread stops spinning for kSpinCooldown.
+ */
+template <typename Ready>
+bool
+spinUntil(const Ready &ready)
+{
+    using Clock = std::chrono::steady_clock;
+    auto now = Clock::now();
+    if (now < t_spin_resumes)
+        return ready();
+    const auto deadline = now + ThreadPool::kSpinBudget;
+    for (;;) {
+        for (int poll = 0; poll < 16; ++poll) {
+            if (ready())
+                return true;
+            cpuRelax();
+        }
+        const auto last = now;
+        now = Clock::now();
+        if (now - last > ThreadPool::kSpinBudget) {
+            t_spin_resumes = now + kSpinCooldown;
+            return ready();
+        }
+        if (now >= deadline)
+            return ready();
+    }
+}
+
 #if defined(__linux__)
+/**
+ * The calling thread's affinity mask from before ThreadPool::pinThreads
+ * first narrowed it to one CPU, so the next pool built on this thread
+ * still sees the CPUs the process was started with.
+ */
+thread_local bool t_mask_saved = false;
+thread_local cpu_set_t t_unpinned_mask;
+
+/** The CPUs the calling thread may run on; empty when unknown. */
+std::vector<unsigned>
+allowedCpus()
+{
+    cpu_set_t set;
+    if (t_mask_saved)
+        set = t_unpinned_mask;
+    else if (sched_getaffinity(0, sizeof(set), &set) != 0)
+        return {};
+    std::vector<unsigned> cpus;
+    for (unsigned cpu = 0; cpu < CPU_SETSIZE; ++cpu) {
+        if (CPU_ISSET(cpu, &set))
+            cpus.push_back(cpu);
+    }
+    return cpus;
+}
+
+/** Pin @p handle to @p cpu. */
+void
+pinToCpu(pthread_t handle, unsigned cpu)
+{
     cpu_set_t set;
     CPU_ZERO(&set);
     CPU_SET(cpu, &set);
     pthread_setaffinity_np(handle, sizeof(set), &set);
-#endif
 }
+#endif
 
 } // namespace
 
 ThreadPool::ThreadPool(std::size_t threads, bool cap_to_hardware)
 {
-    if (cap_to_hardware)
-        hwCap_ = std::thread::hardware_concurrency(); // 0 == unknown
+    if (cap_to_hardware) {
+#if defined(__linux__)
+        hwCap_ = allowedCpus().size();
+#endif
+        if (hwCap_ == 0)
+            hwCap_ = std::thread::hardware_concurrency(); // 0 == unknown
+    }
     if (threads <= 1)
         return;
     // Construct every Worker slot before any thread starts: workerLoop
@@ -53,12 +138,15 @@ ThreadPool::ThreadPool(std::size_t threads, bool cap_to_hardware)
 
 ThreadPool::~ThreadPool()
 {
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        stop_ = true;
-    }
     for (auto &worker : workers_)
-        worker->cv.notify_one();
+        worker->target.store(kStop);
+    {
+        // A parked worker re-checks its target under mutex_ before it
+        // blocks, so notifying under the lock cannot be lost.
+        std::lock_guard<std::mutex> lock(mutex_);
+        for (auto &worker : workers_)
+            worker->cv.notify_one();
+    }
     for (auto &worker : workers_)
         worker->thread.join();
 }
@@ -110,7 +198,6 @@ ThreadPool::effectiveChunks(std::size_t n, std::size_t grain,
 void
 ThreadPool::setObserver(TaskObserver *observer)
 {
-    std::lock_guard<std::mutex> lock(mutex_);
     observer_ = observer;
 }
 
@@ -118,13 +205,17 @@ void
 ThreadPool::pinThreads()
 {
 #if defined(__linux__)
-    const unsigned ncpu = std::thread::hardware_concurrency();
-    if (ncpu == 0)
+    const std::vector<unsigned> cpus = allowedCpus();
+    if (cpus.empty())
         return;
-    pinToCpu(pthread_self(), 0);
+    if (!t_mask_saved &&
+        sched_getaffinity(0, sizeof(t_unpinned_mask), &t_unpinned_mask) ==
+            0)
+        t_mask_saved = true;
+    pinToCpu(pthread_self(), cpus[0]);
     for (std::size_t i = 0; i < workers_.size(); ++i) {
         pinToCpu(workers_[i]->thread.native_handle(),
-                 static_cast<unsigned>((i + 1) % ncpu));
+                 cpus[(i + 1) % cpus.size()]);
     }
 #endif
 }
@@ -159,17 +250,13 @@ ThreadPool::parallelForChunked(std::size_t n, const ChunkBody &body,
     if (chunks <= 1) {
         // The job still executed on the pool (as its one chunk), so
         // the observer sees it -- a narrow machine or a tiny n must
-        // not silently drop pool.chunk trace coverage.
-        TaskObserver *observer = nullptr;
-        {
-            std::lock_guard<std::mutex> lock(mutex_);
-            observer = observer_;
-        }
-        if (observer)
-            observer->chunkBegin(0, n);
+        // not silently drop pool.chunk trace coverage.  setObserver's
+        // contract lets every job read observer_ without a lock.
+        if (observer_)
+            observer_->chunkBegin(0, n);
         body(0, 0, n);
-        if (observer)
-            observer->chunkEnd(0, n);
+        if (observer_)
+            observer_->chunkEnd(0, n);
         return;
     }
 
@@ -182,38 +269,51 @@ ThreadPool::parallelForChunked(std::size_t n, const ChunkBody &body,
                  "parallelFor chunk cover is not exact: n=", n,
                  " chunks=", chunks, " align=", align);
 
-    TaskObserver *observer = nullptr;
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        body_ = &body;
-        jobSize_ = n;
-        jobChunks_ = chunks;
-        jobAlign_ = align;
-        pending_ = chunks - 1;
-        ++generation_;
-        // Target only the workers that own a chunk; the rest keep
-        // sleeping on their private condition variables.
-        for (std::size_t i = 1; i < chunks; ++i)
-            workers_[i - 1]->target = generation_;
-        observer = observer_;
+    // The previous job has fully drained (pending_ reached 0), so no
+    // worker is reading the job fields while they are rewritten.
+    body_ = &body;
+    jobSize_ = n;
+    jobChunks_ = chunks;
+    jobAlign_ = align;
+    pending_.store(chunks - 1, std::memory_order_relaxed);
+    ++generation_;
+    // Hand the job only to the workers that own a chunk.  Each store
+    // publishes the fields above to that worker's load of its target;
+    // the store-then-load of `parked` pairs with the worker's
+    // store-then-load (both seq_cst), so a worker either sees its new
+    // target before parking or is seen parked here and notified.
+    bool any_parked = false;
+    for (std::size_t i = 1; i < chunks; ++i) {
+        workers_[i - 1]->target.store(generation_);
+        any_parked |= workers_[i - 1]->parked.load();
     }
-    for (std::size_t i = 1; i < chunks; ++i)
-        workers_[i - 1]->cv.notify_one();
+    if (any_parked) {
+        std::lock_guard<std::mutex> lock(mutex_);
+        for (std::size_t i = 1; i < chunks; ++i) {
+            if (workers_[i - 1]->parked.load())
+                workers_[i - 1]->cv.notify_one();
+        }
+    }
 
     // The calling thread always takes chunk 0.
     const auto [begin, end] = alignedChunkRange(0, chunks, n, align);
     t_in_parallel_region = true;
     if (begin < end) {
-        if (observer)
-            observer->chunkBegin(begin, end);
+        if (observer_)
+            observer_->chunkBegin(begin, end);
         body(0, begin, end);
-        if (observer)
-            observer->chunkEnd(begin, end);
+        if (observer_)
+            observer_->chunkEnd(begin, end);
     }
     t_in_parallel_region = false;
 
-    std::unique_lock<std::mutex> lock(mutex_);
-    done_.wait(lock, [this] { return pending_ == 0; });
+    const auto drained = [this] { return pending_.load() == 0; };
+    if (!spinUntil(drained)) {
+        std::unique_lock<std::mutex> lock(mutex_);
+        callerParked_.store(true);
+        done_.wait(lock, drained);
+        callerParked_.store(false);
+    }
     body_ = nullptr;
 }
 
@@ -222,35 +322,40 @@ ThreadPool::workerLoop(std::size_t worker_index)
 {
     Worker &self = *workers_[worker_index - 1];
     std::uint64_t seen = 0;
-    std::unique_lock<std::mutex> lock(mutex_);
+    const auto handed = [&] { return self.target.load() != seen; };
     for (;;) {
-        self.cv.wait(lock,
-                     [&] { return stop_ || self.target != seen; });
-        if (stop_)
+        if (!spinUntil(handed)) {
+            std::unique_lock<std::mutex> lock(mutex_);
+            self.parked.store(true);
+            self.cv.wait(lock, handed);
+            self.parked.store(false);
+        }
+        seen = self.target.load();
+        if (seen == kStop)
             return;
-        seen = self.target;
-        const ChunkBody *body = body_;
-        const std::size_t n = jobSize_;
-        const std::size_t chunks = jobChunks_;
-        const std::size_t align = jobAlign_;
-        TaskObserver *observer = observer_;
-        lock.unlock();
 
+        // This worker owns a chunk of job `seen`: the caller wrote the
+        // job fields before publishing it and rewrites them only after
+        // pending_ drains, which needs this worker's decrement below.
         const auto [begin, end] =
-            alignedChunkRange(worker_index, chunks, n, align);
+            alignedChunkRange(worker_index, jobChunks_, jobSize_,
+                              jobAlign_);
         t_in_parallel_region = true;
         if (begin < end) {
-            if (observer)
-                observer->chunkBegin(begin, end);
-            (*body)(worker_index, begin, end);
-            if (observer)
-                observer->chunkEnd(begin, end);
+            if (observer_)
+                observer_->chunkBegin(begin, end);
+            (*body_)(worker_index, begin, end);
+            if (observer_)
+                observer_->chunkEnd(begin, end);
         }
         t_in_parallel_region = false;
 
-        lock.lock();
-        if (--pending_ == 0)
+        // Same pairing as the wake: the last decrement either lands
+        // before the caller's parked check or sees callerParked_.
+        if (pending_.fetch_sub(1) == 1 && callerParked_.load()) {
+            std::lock_guard<std::mutex> lock(mutex_);
             done_.notify_one();
+        }
     }
 }
 

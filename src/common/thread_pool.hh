@@ -12,14 +12,23 @@
  * model & determinism").
  *
  * Chunk selection is work-size aware: the number of chunks is the
- * minimum of the pool width, the online CPU count (oversubscribing a
- * compute-bound GEMV only adds context switches), and n / grain (no
- * point waking a worker for less than `grain` elements of work).  Only
- * the workers that actually received a chunk are woken -- a tiny GEMV
- * dispatched on a wide pool no longer pays a wake/join handshake per
- * idle worker, which is what regressed the reference path past 2
- * threads.  Chunk boundaries depend only on (n, chunks, align), never
- * on timing.
+ * minimum of the pool width, the CPUs the caller's affinity mask
+ * allows (oversubscribing a compute-bound GEMV only adds context
+ * switches), and n / grain (no point waking a worker for less than
+ * `grain` elements of work).  Only the workers that actually received
+ * a chunk are handed the job.  Chunk boundaries depend only on
+ * (n, chunks, align), never on timing.
+ *
+ * The handoff is spin-then-park.  Each worker busy-waits on its own
+ * cache-line-aligned generation word for kSpinBudget after its last
+ * chunk, so a decode step's back-to-back jobs reach it without a
+ * futex wake; only after the budget does it park on its condition
+ * variable.  The caller likewise spins on the pending-chunk count
+ * before it parks.  A halted vCPU takes tens of microseconds to wake,
+ * which is the same order as one decode-step job.  A thread whose spin
+ * is interrupted by another task (an oversubscribed host) parks
+ * without spinning for a while, so it does not spend the time slice
+ * its work needs.  See DESIGN.md "Targeted, spin-then-park handoff".
  *
  * Nested parallelFor() calls (e.g. a row-parallel Linear::forwardBatch
  * called from a task already running on the pool) are detected via a
@@ -30,6 +39,8 @@
 #ifndef HNLPU_COMMON_THREAD_POOL_HH
 #define HNLPU_COMMON_THREAD_POOL_HH
 
+#include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
@@ -71,11 +82,12 @@ class ThreadPool
      *        the pool spawns threads-1 workers.  threads <= 1 spawns
      *        nothing and parallelFor() degenerates to a serial loop.
      * @param cap_to_hardware clamp the per-job chunk count to the
-     *        online CPU count (std::thread::hardware_concurrency).
-     *        The pool's hot loops are compute bound, so running more
-     *        chunks than cores is pure context-switch overhead; tests
-     *        that need forced concurrency (TSan interleaving on small
-     *        machines) pass false.
+     *        number of CPUs in the calling thread's affinity mask
+     *        (Linux; std::thread::hardware_concurrency elsewhere).
+     *        The pool's hot loops are compute bound, and its workers
+     *        spin between jobs, so running more chunks than CPUs burns
+     *        time slices; tests that need forced concurrency (TSan
+     *        interleaving on small machines) pass false.
      */
     explicit ThreadPool(std::size_t threads, bool cap_to_hardware = true);
     ~ThreadPool();
@@ -86,8 +98,18 @@ class ThreadPool
     /** Total parallelism (workers plus the calling thread). */
     std::size_t threadCount() const { return workers_.size() + 1; }
 
-    /** Chunk-count clamp from hardware_concurrency (0 == uncapped). */
+    /** Chunk-count clamp from the CPU affinity mask (0 == uncapped). */
     std::size_t hardwareCap() const { return hwCap_; }
+
+    /**
+     * How long a worker waits for its next job, and the caller for its
+     * workers, by busy-waiting before parking on a condition variable.
+     * Long enough to bridge the gaps between a decode step's jobs; a
+     * budget near 15 us lost most of the gain over parking at once.
+     * Timed with steady_clock, because PAUSE latency varies several-
+     * fold across x86 generations.
+     */
+    static constexpr std::chrono::microseconds kSpinBudget{60};
 
     /** Body invoked with a half-open index range [begin, end). */
     using RangeBody = std::function<void(std::size_t, std::size_t)>;
@@ -104,8 +126,8 @@ class ThreadPool
     /**
      * Execute body over [0, n) split into effectiveChunks(n, grain,
      * threadCount(), hardwareCap()) contiguous chunks.  The calling
-     * thread runs chunk 0 and blocks until every chunk is done; only
-     * workers that received a chunk are woken.  Chunk boundaries depend
+     * thread runs chunk 0 and waits until every chunk is done; only
+     * workers that received a chunk are handed the job.  Chunk boundaries depend
      * only on (n, chunks, align), never on timing, so any per-index
      * output is deterministic; single-chunk jobs run inline.
      *
@@ -154,7 +176,11 @@ class ThreadPool
 
     /**
      * Pin the calling thread and every worker round-robin across the
-     * online CPUs (Linux only; a no-op elsewhere).  Benchmarks use this
+     * CPUs in the calling thread's affinity mask, so a pool started
+     * under taskset stays inside it (Linux only; a no-op elsewhere).
+     * The mask a thread had before any pool pinned it is remembered,
+     * so a later pool on the same thread neither caps nor pins itself
+     * to the one CPU an earlier pool left it on.  Benchmarks use this
      * so scaling numbers measure the kernel, not the scheduler's
      * migration choices.
      */
@@ -162,33 +188,42 @@ class ThreadPool
 
     /**
      * Install (or clear, with nullptr) the chunk observer.  Must not be
-     * called while a parallelFor is in flight; the observer must outlive
-     * its installation.
+     * called while a parallelFor is in flight, nor concurrently with
+     * one from another thread (jobs read the observer without a lock);
+     * the observer must outlive its installation.
      */
     void setObserver(TaskObserver *observer);
 
   private:
+    /** Target value that tells a worker to exit. */
+    static constexpr std::uint64_t kStop = ~std::uint64_t{0};
+
     /**
-     * Per-worker wake state.  Each worker sleeps on its own condition
-     * variable and is woken only when `target` advances to the current
-     * job generation -- workers outside a job's chunk count never wake
-     * (and never touch `pending_`).
+     * Per-worker handoff state, on its own cache line.  The caller
+     * release-stores a job's generation into the target of each worker
+     * that owns a chunk of it; the worker spins on its target, then
+     * parks on `cv`.  A worker outside a job's chunk count never sees
+     * its target move, so it never reads the job fields, which the
+     * next job may already be overwriting.
      */
-    struct Worker
+    struct alignas(64) Worker
     {
-        std::thread thread;
+        std::atomic<std::uint64_t> target{0}; //!< generation to join
+        std::atomic<bool> parked{false}; //!< set under mutex_ on cv
         std::condition_variable cv;
-        std::uint64_t target = 0; //!< generation this worker should join
+        std::thread thread;
     };
 
     void workerLoop(std::size_t worker_index);
 
     std::vector<std::unique_ptr<Worker>> workers_;
-    std::mutex mutex_;
+    std::mutex mutex_; //!< only for parking on a cv and waking from it
     std::condition_variable done_;
-    std::uint64_t generation_ = 0;  //!< job counter workers wake on
-    std::size_t pending_ = 0;       //!< woken workers still in the job
-    bool stop_ = false;
+    std::atomic<bool> callerParked_{false}; //!< set under mutex_ on done_
+    alignas(64) std::atomic<std::size_t> pending_{0}; //!< chunks running
+    // The job fields: written by the caller before it publishes the
+    // job's generation, read only by that job's participants.
+    std::uint64_t generation_ = 0;
     const ChunkBody *body_ = nullptr;
     std::size_t jobSize_ = 0;
     std::size_t jobChunks_ = 0;

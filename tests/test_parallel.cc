@@ -18,9 +18,15 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <thread>
 #include <vector>
+
+#if defined(__linux__)
+#include <pthread.h>
+#include <sched.h>
+#endif
 
 #include "common/rng.hh"
 #include "common/thread_pool.hh"
@@ -218,6 +224,124 @@ TEST(ThreadPool, ReusableAcrossManyJobs)
     }
     EXPECT_EQ(total.load(), 200u * 17u);
 }
+
+TEST(ThreadPool, HandoffSurvivesMixedWidthsParkingAndTeardown)
+{
+    // Stress the spin-then-park handoff.  Jobs of 1..4 chunks alternate
+    // on a 4-wide pool, so workers outside a job's chunk count sit out
+    // while others run; some jobs follow a gap past the spin budget
+    // (workers park and must be woken), some have a chunk that outlasts
+    // it (the caller parks on its join), and each pool is destroyed
+    // either straight after a job (workers still spinning) or after
+    // idling (workers parked).  Every index is visited exactly once.
+    constexpr std::size_t kN = 60; // divisible by every width
+    constexpr std::size_t kWidths[] = {4, 1, 3, 2, 4, 2, 1, 3, 3, 4, 2};
+    const auto beyond_budget = 4 * ThreadPool::kSpinBudget;
+    std::size_t jobs = 0;
+    for (int life = 0; life < 6; ++life) {
+        ThreadPool pool(4, /*cap_to_hardware=*/false);
+        for (std::size_t round = 0; round < 160; ++round, ++jobs) {
+            const std::size_t width =
+                kWidths[(round + life) % std::size(kWidths)];
+            const bool slow_chunk = round % 16 == 5;
+            if (round % 8 == 3)
+                std::this_thread::sleep_for(beyond_budget);
+            std::vector<std::atomic<int>> hits(kN);
+            for (auto &h : hits)
+                h = 0;
+            std::atomic<unsigned> chunk_mask{0};
+            pool.parallelForChunked(
+                kN,
+                [&](std::size_t chunk, std::size_t begin,
+                    std::size_t end) {
+                    if (slow_chunk && chunk + 1 == width)
+                        std::this_thread::sleep_for(beyond_budget);
+                    chunk_mask |= 1u << chunk;
+                    for (std::size_t i = begin; i < end; ++i)
+                        ++hits[i];
+                },
+                /*grain=*/kN / width);
+            ASSERT_EQ(chunk_mask.load(), (1u << width) - 1)
+                << "life " << life << " round " << round;
+            for (std::size_t i = 0; i < kN; ++i)
+                ASSERT_EQ(hits[i].load(), 1)
+                    << "life " << life << " round " << round << " index "
+                    << i;
+        }
+        if (life % 2 == 1)
+            std::this_thread::sleep_for(beyond_budget);
+    }
+    EXPECT_EQ(jobs, 6u * 160u);
+}
+
+#if defined(__linux__)
+TEST(ThreadPool, CapAndPinningFollowTheAffinityMask)
+{
+    // A pool started under a 2-CPU mask caps its jobs at 2 chunks and
+    // pins every thread inside the mask.  The last two CPUs of the
+    // mask are used, so pinning to CPUs 0..n-1 would leave it.  The
+    // test runs on its own thread: pinThreads remembers the thread's
+    // unpinned mask for later pools, and that must not leak into the
+    // other tests.
+    cpu_set_t original;
+    ASSERT_EQ(sched_getaffinity(0, sizeof(original), &original), 0);
+    if (CPU_COUNT(&original) < 2)
+        GTEST_SKIP() << "needs 2 CPUs in the affinity mask";
+    cpu_set_t narrow;
+    CPU_ZERO(&narrow);
+    for (int cpu = CPU_SETSIZE - 1, taken = 0; cpu >= 0 && taken < 2;
+         --cpu) {
+        if (CPU_ISSET(cpu, &original)) {
+            CPU_SET(cpu, &narrow);
+            ++taken;
+        }
+    }
+    // True when the calling thread is pinned to one CPU of `narrow`.
+    const auto pinned_inside = [&narrow] {
+        cpu_set_t mine;
+        if (sched_getaffinity(0, sizeof(mine), &mine) != 0)
+            return false;
+        cpu_set_t outside;
+        CPU_XOR(&outside, &mine, &narrow);
+        CPU_AND(&outside, &outside, &mine);
+        return CPU_COUNT(&mine) == 1 && CPU_COUNT(&outside) == 0;
+    };
+
+    std::thread([&] {
+        ASSERT_EQ(pthread_setaffinity_np(pthread_self(), sizeof(narrow),
+                                         &narrow),
+                  0);
+        for (int pass = 0; pass < 2; ++pass) {
+            // The second pool is built on a thread the first one
+            // pinned to a single CPU; it still sees both.
+            ThreadPool pool(4);
+            EXPECT_EQ(pool.hardwareCap(), 2u) << "pass " << pass;
+            pool.pinThreads();
+            EXPECT_TRUE(pinned_inside()) << "pass " << pass;
+            std::vector<std::atomic<int>> hits(100);
+            for (auto &h : hits)
+                h = 0;
+            std::atomic<std::size_t> chunks{0};
+            std::atomic<std::size_t> outside{0};
+            pool.parallelForChunked(
+                hits.size(),
+                [&](std::size_t, std::size_t begin, std::size_t end) {
+                    ++chunks;
+                    if (!pinned_inside())
+                        ++outside;
+                    for (std::size_t i = begin; i < end; ++i)
+                        ++hits[i];
+                });
+            EXPECT_EQ(chunks.load(), 2u) << "pass " << pass;
+            EXPECT_EQ(outside.load(), 0u) << "pass " << pass;
+            for (std::size_t i = 0; i < hits.size(); ++i)
+                EXPECT_EQ(hits[i].load(), 1) << "index " << i;
+        }
+        pthread_setaffinity_np(pthread_self(), sizeof(original),
+                               &original);
+    }).join();
+}
+#endif
 
 // Regression for the lazy hardwired-array data race: before the
 // std::call_once fix, concurrent first use of a Linear's Hardwired
