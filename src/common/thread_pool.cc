@@ -39,9 +39,6 @@ cpuRelax()
 /** How long a thread parks at once after its spin lost the CPU. */
 constexpr std::chrono::milliseconds kSpinCooldown{20};
 
-/** While the clock is before this, the thread parks without spinning. */
-thread_local std::chrono::steady_clock::time_point t_spin_resumes{};
-
 /**
  * Busy-wait until @p ready() holds or ThreadPool::kSpinBudget has
  * passed; returns the last ready() value.  The clock is read once per
@@ -49,15 +46,15 @@ thread_local std::chrono::steady_clock::time_point t_spin_resumes{};
  * longer than the whole budget means another task ran on this CPU:
  * the host is oversubscribed, and spinning would spend the time slice
  * the work needs (and the scheduler's credit for having slept), so the
- * thread stops spinning for kSpinCooldown.
+ * waiting thread skips spinning until @p resumes, kSpinCooldown later.
  */
 template <typename Ready>
 bool
-spinUntil(const Ready &ready)
+spinUntil(const Ready &ready, std::chrono::steady_clock::time_point &resumes)
 {
     using Clock = std::chrono::steady_clock;
     auto now = Clock::now();
-    if (now < t_spin_resumes)
+    if (now < resumes)
         return ready();
     const auto deadline = now + ThreadPool::kSpinBudget;
     for (;;) {
@@ -69,7 +66,7 @@ spinUntil(const Ready &ready)
         const auto last = now;
         now = Clock::now();
         if (now - last > ThreadPool::kSpinBudget) {
-            t_spin_resumes = now + kSpinCooldown;
+            resumes = now + kSpinCooldown;
             return ready();
         }
         if (now >= deadline)
@@ -78,22 +75,12 @@ spinUntil(const Ready &ready)
 }
 
 #if defined(__linux__)
-/**
- * The calling thread's affinity mask from before ThreadPool::pinThreads
- * first narrowed it to one CPU, so the next pool built on this thread
- * still sees the CPUs the process was started with.
- */
-thread_local bool t_mask_saved = false;
-thread_local cpu_set_t t_unpinned_mask;
-
-/** The CPUs the calling thread may run on; empty when unknown. */
+/** The CPUs in the calling thread's affinity mask; empty if unknown. */
 std::vector<unsigned>
 allowedCpus()
 {
     cpu_set_t set;
-    if (t_mask_saved)
-        set = t_unpinned_mask;
-    else if (sched_getaffinity(0, sizeof(set), &set) != 0)
+    if (sched_getaffinity(0, sizeof(set), &set) != 0)
         return {};
     std::vector<unsigned> cpus;
     for (unsigned cpu = 0; cpu < CPU_SETSIZE; ++cpu) {
@@ -138,6 +125,14 @@ ThreadPool::ThreadPool(std::size_t threads, bool cap_to_hardware)
 
 ThreadPool::~ThreadPool()
 {
+#if defined(__linux__)
+    // Give the thread that pinThreads pinned its own mask back, so a
+    // pool built after this one is neither capped nor pinned to the one
+    // CPU this pool left it on.  Only that thread can be sure it is
+    // still alive, so a pool destroyed elsewhere leaves the pin.
+    if (callerPinned_ && pthread_equal(callerThread_, pthread_self()))
+        sched_setaffinity(0, sizeof(callerMask_), &callerMask_);
+#endif
     for (auto &worker : workers_)
         worker->target.store(kStop);
     {
@@ -208,10 +203,11 @@ ThreadPool::pinThreads()
     const std::vector<unsigned> cpus = allowedCpus();
     if (cpus.empty())
         return;
-    if (!t_mask_saved &&
-        sched_getaffinity(0, sizeof(t_unpinned_mask), &t_unpinned_mask) ==
-            0)
-        t_mask_saved = true;
+    if (!callerPinned_ &&
+        sched_getaffinity(0, sizeof(callerMask_), &callerMask_) == 0) {
+        callerPinned_ = true;
+        callerThread_ = pthread_self();
+    }
     pinToCpu(pthread_self(), cpus[0]);
     for (std::size_t i = 0; i < workers_.size(); ++i) {
         pinToCpu(workers_[i]->thread.native_handle(),
@@ -308,7 +304,7 @@ ThreadPool::parallelForChunked(std::size_t n, const ChunkBody &body,
     t_in_parallel_region = false;
 
     const auto drained = [this] { return pending_.load() == 0; };
-    if (!spinUntil(drained)) {
+    if (!spinUntil(drained, callerSpinResumes_)) {
         std::unique_lock<std::mutex> lock(mutex_);
         callerParked_.store(true);
         done_.wait(lock, drained);
@@ -324,7 +320,7 @@ ThreadPool::workerLoop(std::size_t worker_index)
     std::uint64_t seen = 0;
     const auto handed = [&] { return self.target.load() != seen; };
     for (;;) {
-        if (!spinUntil(handed)) {
+        if (!spinUntil(handed, self.spinResumes)) {
             std::unique_lock<std::mutex> lock(mutex_);
             self.parked.store(true);
             self.cv.wait(lock, handed);

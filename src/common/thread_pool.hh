@@ -51,6 +51,11 @@
 #include <utility>
 #include <vector>
 
+#if defined(__linux__)
+#include <pthread.h>
+#include <sched.h>
+#endif
+
 namespace hnlpu {
 
 /**
@@ -178,11 +183,11 @@ class ThreadPool
      * Pin the calling thread and every worker round-robin across the
      * CPUs in the calling thread's affinity mask, so a pool started
      * under taskset stays inside it (Linux only; a no-op elsewhere).
-     * The mask a thread had before any pool pinned it is remembered,
-     * so a later pool on the same thread neither caps nor pins itself
-     * to the one CPU an earlier pool left it on.  Benchmarks use this
-     * so scaling numbers measure the kernel, not the scheduler's
-     * migration choices.
+     * The destructor, when it runs on the pinned calling thread, gives
+     * that thread its mask back, so a later pool on it is neither
+     * capped nor pinned to the one CPU this pool left it on.
+     * Benchmarks use this so scaling numbers measure the kernel, not
+     * the scheduler's migration choices.
      */
     void pinThreads();
 
@@ -210,6 +215,8 @@ class ThreadPool
     {
         std::atomic<std::uint64_t> target{0}; //!< generation to join
         std::atomic<bool> parked{false}; //!< set under mutex_ on cv
+        //! Spinning is skipped until then (the worker's own field).
+        std::chrono::steady_clock::time_point spinResumes{};
         std::condition_variable cv;
         std::thread thread;
     };
@@ -220,6 +227,8 @@ class ThreadPool
     std::mutex mutex_; //!< only for parking on a cv and waking from it
     std::condition_variable done_;
     std::atomic<bool> callerParked_{false}; //!< set under mutex_ on done_
+    //! The caller skips spinning until then (see Worker::spinResumes).
+    std::chrono::steady_clock::time_point callerSpinResumes_{};
     alignas(64) std::atomic<std::size_t> pending_{0}; //!< chunks running
     // The job fields: written by the caller before it publishes the
     // job's generation, read only by that job's participants.
@@ -230,6 +239,12 @@ class ThreadPool
     std::size_t jobAlign_ = 1;
     std::size_t hwCap_ = 0;
     TaskObserver *observer_ = nullptr;
+#if defined(__linux__)
+    // The thread pinThreads pinned, and its mask from before.
+    bool callerPinned_ = false;
+    pthread_t callerThread_{};
+    cpu_set_t callerMask_{};
+#endif
 };
 
 /**

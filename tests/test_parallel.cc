@@ -280,9 +280,9 @@ TEST(ThreadPool, CapAndPinningFollowTheAffinityMask)
     // A pool started under a 2-CPU mask caps its jobs at 2 chunks and
     // pins every thread inside the mask.  The last two CPUs of the
     // mask are used, so pinning to CPUs 0..n-1 would leave it.  The
-    // test runs on its own thread: pinThreads remembers the thread's
-    // unpinned mask for later pools, and that must not leak into the
-    // other tests.
+    // second pool is built after the first unpinned the thread on
+    // destruction.  The test runs on its own thread so that a failed
+    // check cannot leave the other tests on a narrowed mask.
     cpu_set_t original;
     ASSERT_EQ(sched_getaffinity(0, sizeof(original), &original), 0);
     if (CPU_COUNT(&original) < 2)
@@ -312,8 +312,8 @@ TEST(ThreadPool, CapAndPinningFollowTheAffinityMask)
                                          &narrow),
                   0);
         for (int pass = 0; pass < 2; ++pass) {
-            // The second pool is built on a thread the first one
-            // pinned to a single CPU; it still sees both.
+            // The second pool is built on the thread the first one
+            // pinned to a single CPU and unpinned again; it sees both.
             ThreadPool pool(4);
             EXPECT_EQ(pool.hardwareCap(), 2u) << "pass " << pass;
             pool.pinThreads();
