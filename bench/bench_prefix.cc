@@ -17,7 +17,9 @@
  *     every mix, on both execution paths -- sharing is a pure
  *     scheduling optimisation;
  *   - at the 90% mix the reference-path p50 TTFT improves by >= 1.5x
- *     over the unshared run;
+ *     over the unshared run, as the median of kGatePairs off/on pairs
+ *     whose order alternates (one pair once read 1.33x on a noisy
+ *     host);
  *   - the 0% mix takes no prefix hits (nothing is shareable).
  *
  * Measurements go to BENCH_prefix.json.
@@ -25,6 +27,7 @@
  * Usage: bench_prefix [requests] [json] [--smoke] [--json-out path]
  */
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <optional>
@@ -46,6 +49,8 @@ using namespace hnlpu;
 
 constexpr std::size_t kSharedTokens = 48;
 constexpr std::size_t kSlots = 4;
+/** Off/on pairs behind the gated mix's speedup (odd: a true median). */
+constexpr std::size_t kGatePairs = 3;
 
 struct MixResult
 {
@@ -62,11 +67,63 @@ fail(const char *what)
     std::exit(1);
 }
 
-/** One mix at one path: serve the trace with the cache off and on. */
+/**
+ * Serve @p trace once with the prefix cache on or off, recording that
+ * side of @p m; returns the decoded tokens.
+ */
+std::vector<std::vector<std::size_t>>
+serveTrace(const TransformerConfig &cfg, const ModelWeights &weights,
+           ExecPath path, const std::vector<expt::TraceRequest> &trace,
+           bool with_prefix, MixResult &m)
+{
+    Engine engine(cfg, weights, path);
+    std::optional<PrefixCache> prefix;
+    if (with_prefix)
+        prefix.emplace(engine.kvPool());
+    ServingEngine serving(engine, kSlots, prefix ? &*prefix : nullptr);
+    for (const expt::TraceRequest &tr : trace) {
+        ServingRequest req;
+        req.prompt = tr.prompt;
+        req.decodeTokens = tr.decodeTokens;
+        req.arrivalStep = tr.arrivalStep;
+        req.sampler = tr.sampler;
+        req.seed = tr.seed;
+        if (!serving.tryEnqueue(std::move(req)).admitted())
+            fail("trace request rejected");
+    }
+    std::vector<std::vector<std::size_t>> tokens;
+    for (const ServingOutcome &out : serving.run())
+        tokens.push_back(out.tokens);
+    const ServingStats &s = serving.stats();
+    if (with_prefix) {
+        m.ttftOn = s.ttftP50Seconds;
+        m.tpsOn = s.aggregateTokensPerSecond;
+        m.hits = s.prefixHits;
+        m.misses = s.prefixMisses;
+        m.matchedTokens = s.prefixMatchedTokens;
+    } else {
+        m.ttftOff = s.ttftP50Seconds;
+        m.tpsOff = s.aggregateTokensPerSecond;
+    }
+    return tokens;
+}
+
+double
+speedupOf(const MixResult &m)
+{
+    return m.ttftOn > 0.0 ? m.ttftOff / m.ttftOn : 0.0;
+}
+
+/**
+ * One mix at one path: serve the trace with the cache off and on,
+ * @p pairs times, and return the pair with the median TTFT speedup.
+ * The side that runs first alternates, so a host that speeds up or
+ * slows down during the measurement favours neither.
+ */
 MixResult
 measureMix(const TransformerConfig &cfg, const ModelWeights &weights,
            ExecPath path, std::size_t requests, std::size_t percent,
-           std::size_t decode_tokens)
+           std::size_t decode_tokens, std::size_t pairs)
 {
     expt::TraceConfig tc;
     tc.vocabSize = cfg.vocabSize;
@@ -78,46 +135,23 @@ measureMix(const TransformerConfig &cfg, const ModelWeights &weights,
     tc.sharedTokens = kSharedTokens;
     const auto trace = expt::makeServingTrace(tc);
 
-    MixResult m;
-    m.percent = percent;
-    std::vector<std::vector<std::size_t>> tokens_off, tokens_on;
-    for (const bool with_prefix : {false, true}) {
-        Engine engine(cfg, weights, path);
-        std::optional<PrefixCache> prefix;
-        if (with_prefix)
-            prefix.emplace(engine.kvPool());
-        ServingEngine serving(engine, kSlots,
-                              prefix ? &*prefix : nullptr);
-        for (const expt::TraceRequest &tr : trace) {
-            ServingRequest req;
-            req.prompt = tr.prompt;
-            req.decodeTokens = tr.decodeTokens;
-            req.arrivalStep = tr.arrivalStep;
-            req.sampler = tr.sampler;
-            req.seed = tr.seed;
-            if (!serving.tryEnqueue(std::move(req)).admitted())
-                fail("trace request rejected");
-        }
-        const auto outcomes = serving.run();
-        const ServingStats &s = serving.stats();
-        auto &tokens = with_prefix ? tokens_on : tokens_off;
-        for (const ServingOutcome &out : outcomes)
-            tokens.push_back(out.tokens);
-        if (with_prefix) {
-            m.ttftOn = s.ttftP50Seconds;
-            m.tpsOn = s.aggregateTokensPerSecond;
-            m.hits = s.prefixHits;
-            m.misses = s.prefixMisses;
-            m.matchedTokens = s.prefixMatchedTokens;
-        } else {
-            m.ttftOff = s.ttftP50Seconds;
-            m.tpsOff = s.aggregateTokensPerSecond;
-        }
+    std::vector<MixResult> runs(pairs);
+    for (std::size_t pair = 0; pair < pairs; ++pair) {
+        MixResult &m = runs[pair];
+        m.percent = percent;
+        std::vector<std::vector<std::size_t>> tokens[2];
+        for (const bool with_prefix : {pair % 2 == 1, pair % 2 == 0})
+            tokens[with_prefix] =
+                serveTrace(cfg, weights, path, trace, with_prefix, m);
+        // Prefix sharing must not change one decoded token.
+        if (tokens[0] != tokens[1])
+            fail("prefix cache changed decoded tokens");
     }
-    // Prefix sharing must not change one decoded token.
-    if (tokens_on != tokens_off)
-        fail("prefix cache changed decoded tokens");
-    return m;
+    std::sort(runs.begin(), runs.end(),
+              [](const MixResult &a, const MixResult &b) {
+                  return speedupOf(a) < speedupOf(b);
+              });
+    return runs[pairs / 2];
 }
 
 } // namespace
@@ -160,15 +194,16 @@ main(int argc, char **argv)
                      "Hits", "Matched tokens"});
         w.beginObject().field("path", name).key("mixes").beginArray();
         for (const std::size_t percent : {0u, 50u, 90u}) {
-            const MixResult m = measureMix(cfg, weights, path,
-                                           requests, percent, decode);
-            const double speedup =
-                m.ttftOn > 0.0 ? m.ttftOff / m.ttftOn : 0.0;
+            const bool gated = ref && percent == 90;
+            const MixResult m =
+                measureMix(cfg, weights, path, requests, percent, decode,
+                           gated ? kGatePairs : 1);
+            const double speedup = speedupOf(m);
             if (percent == 0 && m.hits != 0)
                 fail("0% mix took prefix hits");
             if (percent > 0 && m.hits == 0)
                 fail("shared mix took no prefix hits");
-            if (ref && percent == 90)
+            if (gated)
                 ref_ratio_90 = speedup;
             table.addRow({std::to_string(percent),
                           commaString(m.ttftOff * 1e3, 2),
@@ -197,8 +232,8 @@ main(int argc, char **argv)
     w.field("ttft_p50_speedup_reference_90", ref_ratio_90);
     w.endObject();
 
-    // Tentpole acceptance: shared prefill amortised across the fleet
-    // must cut median TTFT by at least 1.5x at the 90% mix.
+    // Shared prefill amortised across the fleet must cut median TTFT
+    // by at least 1.5x at the 90% mix (median of kGatePairs pairs).
     if (ref_ratio_90 < 1.5) {
         std::fprintf(stderr,
                      "FATAL: 90%% shared mix TTFT speedup %.2fx < "

@@ -5,9 +5,10 @@
 # bench/JSON gates, and a warning-free Release build.
 #
 # Why each whole-suite leg exists:
-#  - ThreadSanitizer: the thread pool, the lock-free scratch arena and
-#    the router's shard threads share state across workers; a data race
-#    fails here even when it happens not to corrupt a value.
+#  - ThreadSanitizer: the thread pool, the row workers that read one
+#    leased scratch's columns and the router's shard threads share
+#    state across threads; a data race fails here even when it happens
+#    not to corrupt a value.
 #  - AddressSanitizer + UndefinedBehaviorSanitizer: the KV block pool
 #    hands out raw payloads indexed by computed offsets and a repaired
 #    shard's SlotBatch::rebind keeps caches alive across engines (ASan);

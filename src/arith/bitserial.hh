@@ -55,8 +55,8 @@ class BitSerializer
  * what removes the per-row re-serialisation of the scalar path.
  *
  * build() reuses the word buffer's capacity, so a long-lived instance
- * (see hn/hn_kernel.hh scratch arena) allocates only on its first use
- * at a given geometry.
+ * (an engine's HnScratch, hn/hn_kernel.hh) allocates only on its first
+ * use at a given geometry.
  */
 class PackedPlanes
 {

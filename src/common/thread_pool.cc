@@ -1,6 +1,7 @@
 #include "common/thread_pool.hh"
 
 #include <algorithm>
+#include <exception>
 
 #include "common/logging.hh"
 
@@ -291,15 +292,22 @@ ThreadPool::parallelForChunked(std::size_t n, const ChunkBody &body,
         }
     }
 
-    // The calling thread always takes chunk 0.
+    // The calling thread always takes chunk 0.  If it throws, the
+    // workers are still running the body, whose captures the unwinding
+    // would destroy: wait for them first, then rethrow.
     const auto [begin, end] = alignedChunkRange(0, chunks, n, align);
+    std::exception_ptr error;
     t_in_parallel_region = true;
-    if (begin < end) {
-        if (observer_)
-            observer_->chunkBegin(begin, end);
-        body(0, begin, end);
-        if (observer_)
-            observer_->chunkEnd(begin, end);
+    try {
+        if (begin < end) {
+            if (observer_)
+                observer_->chunkBegin(begin, end);
+            body(0, begin, end);
+            if (observer_)
+                observer_->chunkEnd(begin, end);
+        }
+    } catch (...) {
+        error = std::current_exception();
     }
     t_in_parallel_region = false;
 
@@ -311,6 +319,8 @@ ThreadPool::parallelForChunked(std::size_t n, const ChunkBody &body,
         callerParked_.store(false);
     }
     body_ = nullptr;
+    if (error)
+        std::rethrow_exception(error);
 }
 
 void

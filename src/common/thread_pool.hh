@@ -132,9 +132,12 @@ class ThreadPool
      * Execute body over [0, n) split into effectiveChunks(n, grain,
      * threadCount(), hardwareCap()) contiguous chunks.  The calling
      * thread runs chunk 0 and waits until every chunk is done; only
-     * workers that received a chunk are handed the job.  Chunk boundaries depend
-     * only on (n, chunks, align), never on timing, so any per-index
-     * output is deterministic; single-chunk jobs run inline.
+     * workers that received a chunk are handed the job.  Chunk
+     * boundaries depend only on (n, chunks, align), never on timing,
+     * so any per-index output is deterministic; single-chunk jobs run
+     * inline.  An exception from the caller's chunk is rethrown after
+     * the workers' chunks have finished (a throwing worker chunk
+     * terminates the process, as on any std::thread).
      *
      * @param grain minimum elements per chunk -- size the chunk count
      *        to the work, not the pool (a 12-row GEMV on an 8-wide pool

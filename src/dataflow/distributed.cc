@@ -50,7 +50,6 @@ DistributedEngine::DistributedEngine(const TransformerConfig &cfg,
                                      HnKernel kernel)
     : cfg_(cfg), weights_(weights), rows_(grid_rows), cols_(grid_cols),
       path_(path), activationBits_(activation_bits), kernel_(kernel),
-      scratchArena_(std::make_unique<HnScratchArena>()),
       partition_(makePartition(cfg, grid_rows, grid_cols))
 {
     cfg_.validate();
@@ -166,13 +165,13 @@ DistributedEngine::makeCache() const
 }
 
 ExecContext
-DistributedEngine::shardContext() const
+DistributedEngine::shardContext()
 {
     ExecContext ctx;
     ctx.path = path_;
     ctx.activationBits = activationBits_;
     ctx.kernel = kernel_;
-    ctx.arena = scratchArena_.get();
+    ctx.scratch = &scratch_;
     return ctx;
 }
 
@@ -190,17 +189,23 @@ DistributedEngine::attention(std::size_t layer, const Vec &x_norm,
 
     // -- QKV projection: per-chip partial sums + column all-reduce ------
     // q_cols[c] is the column group's completed Q slice (replicated on
-    // the column's chips after the all-reduce).
+    // the column's chips after the all-reduce).  Each chip prepares its
+    // input slice once for its three projection shards.
     std::vector<Vec> q_cols(cols_), k_cols(cols_), v_cols(cols_);
+    std::vector<Vec> qkv[3];
     for (std::size_t c = 0; c < cols_; ++c) {
         Vec q(qs, 0.0), k(kvs, 0.0), v(kvs, 0.0);
         for (std::size_t r = 0; r < rows_; ++r) {
             const ChipShard &shard = shards_->chips[r * cols_ + c];
-            const Vec x_slice(x_norm.begin() + r * hidden_slice,
-                              x_norm.begin() + (r + 1) * hidden_slice);
-            const Vec qp = shard.wq[layer].forward(x_slice, ctx);
-            const Vec kp = shard.wk[layer].forward(x_slice, ctx);
-            const Vec vp = shard.wv[layer].forward(x_slice, ctx);
+            const std::vector<Vec> x_slice{
+                Vec(x_norm.begin() + r * hidden_slice,
+                    x_norm.begin() + (r + 1) * hidden_slice)};
+            const Linear *const projections[] = {
+                &shard.wq[layer], &shard.wk[layer], &shard.wv[layer]};
+            Linear::forwardFused(projections, x_slice, ctx, qkv);
+            const Vec &qp = qkv[0][0];
+            const Vec &kp = qkv[1][0];
+            const Vec &vp = qkv[2][0];
             for (std::size_t i = 0; i < qs; ++i)
                 q[i] += qp[i];
             for (std::size_t i = 0; i < kvs; ++i) {
@@ -320,9 +325,12 @@ DistributedEngine::feedForward(std::size_t layer, const Vec &x_norm)
         gate_weights = {1.0};
     }
 
-    // Every chip evaluates the active experts it owns; the grid
-    // all-reduce combines the weighted partial outputs.
+    // Every chip evaluates the active experts it owns, up and gate off
+    // one preparation of x_norm; the grid all-reduce combines the
+    // weighted partial outputs.
     const ExecContext ctx = shardContext();
+    const std::vector<Vec> xs{x_norm};
+    std::vector<Vec> up_gate[2];
     Vec out(cfg_.hiddenSize, 0.0);
     for (std::size_t chip = 0; chip < chipCount(); ++chip) {
         const ChipShard &shard = shards_->chips[chip];
@@ -334,9 +342,9 @@ DistributedEngine::feedForward(std::size_t layer, const Vec &x_norm)
                 continue;
             const Expert &ex =
                 shard.experts[layer][std::size_t(it - ids.begin())];
-            const Vec up = ex.up.forward(x_norm, ctx);
-            const Vec gate = ex.gate.forward(x_norm, ctx);
-            const Vec act = swiGlu(gate, up);
+            const Linear *const projections[] = {&ex.up, &ex.gate};
+            Linear::forwardFused(projections, xs, ctx, up_gate);
+            const Vec act = swiGlu(up_gate[1][0], up_gate[0][0]);
             const Vec down = ex.down.forward(act, ctx);
             for (std::size_t d = 0; d < out.size(); ++d)
                 out[d] += gate_weights[k] * down[d];

@@ -95,10 +95,10 @@ class DistributedEngine
     Vec feedForward(std::size_t layer, const Vec &x_norm);
     /**
      * The ExecContext every per-shard projection call reads (path /
-     * bits / kernel / shared scratch arena; no pool -- shards execute
+     * bits / kernel / the engine's scratch; no pool -- shards execute
      * serially to model one chip at a time, and no activity sink).
      */
-    ExecContext shardContext() const;
+    ExecContext shardContext();
 
     TransformerConfig cfg_;
     const ModelWeights &weights_;
@@ -108,10 +108,8 @@ class DistributedEngine
     unsigned activationBits_;
     /** Hardwired-path GEMV kernel for every projection shard. */
     HnKernel kernel_;
-    /** Shared Packed-kernel scratch recycler across all shard GEMVs
-     *  (behind unique_ptr: the arena's mutex must not block the
-     *  engine's defaulted move constructor). */
-    std::unique_ptr<HnScratchArena> scratchArena_;
+    /** Column and output buffers every shard GEMV leases in turn. */
+    HnScratch scratch_;
     SystemPartition partition_;
     CommVolume comm_;
     std::unique_ptr<ShardSet> shards_;

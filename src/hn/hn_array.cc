@@ -148,21 +148,19 @@ HnArray::HnArray(const SeaOfNeuronsTemplate &tmpl,
 std::vector<std::int64_t>
 HnArray::gemvSerial(const std::vector<std::int64_t> &activations,
                     unsigned width, HnActivity *activity,
-                    ThreadPool *pool, HnKernel kernel,
-                    HnScratchArena *arena) const
+                    ThreadPool *pool, HnKernel kernel) const
 {
-    return gemmSerial({activations}, width, activity, pool, kernel, arena);
+    return gemmSerial({activations}, width, activity, pool, kernel);
 }
 
 std::vector<std::int64_t>
 HnArray::gemmSerial(
     const std::vector<std::vector<std::int64_t>> &activations,
     unsigned width, HnActivity *activity, ThreadPool *pool,
-    HnKernel kernel, HnScratchArena *arena) const
+    HnKernel kernel) const
 {
     const std::size_t batch = activations.size();
-    HnScratchLease lease(arena);
-    HnScratch &scratch = lease.get();
+    HnScratch scratch;
     scratch.ensureSlots(batch);
     const HnColumns cols =
         columnsView(scratch, batch, cols_, width, kernel);
@@ -204,8 +202,7 @@ HnArray::prepareSlot(HnScratch &scratch, std::size_t slot,
 {
     const std::vector<std::int64_t> &values = scratch.quantized[slot].values;
     if (cols.kernel == HnKernel::Packed) {
-        scratch.planes[slot] =
-            &scratch.batchPlanes[slot].ensure(values, cols.width);
+        scratch.planes[slot].build(values, cols.width);
     } else if (cols.kernel == HnKernel::Simd) {
         narrowColumn(values, cols.width,
                      scratch.narrowed.data() + slot * cols.dim);
@@ -216,9 +213,8 @@ HnColumns
 HnArray::columnsView(HnScratch &scratch, std::size_t count,
                      std::size_t dim, unsigned width, HnKernel kernel)
 {
-    hnlpu_assert(count <= scratch.batchPlanes.size(), "scratch holds ",
-                 scratch.batchPlanes.size(), " slots, columns need ",
-                 count);
+    hnlpu_assert(count <= scratch.quantized.size(), "scratch holds ",
+                 scratch.quantized.size(), " slots, columns need ", count);
     HnColumns cols;
     cols.values = scratch.quantized.data();
     cols.count = count;
@@ -352,22 +348,20 @@ HnArray::rowDead(std::size_t row) const
 
 std::vector<double>
 HnArray::gemvReal(const std::vector<double> &activations, unsigned width,
-                  HnActivity *activity, ThreadPool *pool, HnKernel kernel,
-                  HnScratchArena *arena) const
+                  HnActivity *activity, ThreadPool *pool,
+                  HnKernel kernel) const
 {
     return std::move(
-        gemmReal({activations}, width, activity, pool, kernel, arena)
-            .front());
+        gemmReal({activations}, width, activity, pool, kernel).front());
 }
 
 std::vector<std::vector<double>>
 HnArray::gemmReal(const std::vector<std::vector<double>> &activations,
                   unsigned width, HnActivity *activity, ThreadPool *pool,
-                  HnKernel kernel, HnScratchArena *arena) const
+                  HnKernel kernel) const
 {
     const std::size_t batch = activations.size();
-    HnScratchLease lease(arena);
-    HnScratch &scratch = lease.get();
+    HnScratch scratch;
     scratch.ensureSlots(batch);
     for (std::size_t b = 0; b < batch; ++b) {
         hnlpu_assert(activations[b].size() == cols_,

@@ -60,8 +60,8 @@ struct HnArrayStats
 struct HnColumns
 {
     const QuantizedVector *values = nullptr;
-    /** Per-column planes; set under HnKernel::Packed only. */
-    const PackedPlanes *const *planes = nullptr;
+    /** Column b's planes at planes[b]; set under HnKernel::Packed only. */
+    const PackedPlanes *planes = nullptr;
     /** Simd: column b's values at narrowed + b * dim. */
     const std::int16_t *narrowed = nullptr;
     std::size_t count = 0;
@@ -120,8 +120,7 @@ class HnArray
     std::vector<std::int64_t> gemvSerial(
         const std::vector<std::int64_t> &activations, unsigned width,
         HnActivity *activity = nullptr, ThreadPool *pool = nullptr,
-        HnKernel kernel = HnKernel::Packed,
-        HnScratchArena *arena = nullptr) const;
+        HnKernel kernel = HnKernel::Packed) const;
 
     /**
      * Bit-serial integer GEMM: one weight-side traversal evaluated
@@ -135,11 +134,9 @@ class HnArray
      * are summed into @p activity.
      *
      * @param kernel HnKernel::Packed (default) serialises each column
-     *        at most once into per-column PackedPlanes (a recycled
-     *        scratch whose cached planes already match a column skips
-     *        even that) and runs each neuron row's region-mask
-     *        traversal over all columns at once (chunks of
-     *        kHnBatchChunk, HardwiredNeuron::computePackedBatch),
+     *        once into per-column PackedPlanes and runs each neuron
+     *        row's region-mask traversal over all columns at once
+     *        (chunks of kHnBatchChunk, HardwiredNeuron::computePackedBatch),
      *        amortising mask loads and region-walk overhead across the
      *        batch; HnKernel::Simd narrows each column to int16 and
      *        takes each row's exact integer dot product with the
@@ -147,25 +144,24 @@ class HnArray
      *        Packed on columns wider than kHnDotMaxWidth bits;
      *        HnKernel::Scalar is the original per-row, per-column
      *        emulation.  Outputs and activity counters are
-     *        bit-identical across all three.
-     * @param arena optional scratch recycler for the plane buffers;
-     *        null allocates a transient scratch per call.
+     *        bit-identical across all three.  The column buffers are
+     *        allocated per call; engines run their projections through
+     *        Linear, which reuses the engine's scratch.
      */
     std::vector<std::int64_t> gemmSerial(
         const std::vector<std::vector<std::int64_t>> &activations,
         unsigned width, HnActivity *activity = nullptr,
-        ThreadPool *pool = nullptr, HnKernel kernel = HnKernel::Packed,
-        HnScratchArena *arena = nullptr) const;
+        ThreadPool *pool = nullptr,
+        HnKernel kernel = HnKernel::Packed) const;
 
     /**
      * Quantise the real columns @p scratch.columns[0, count) (each
      * @p dim values, caller-filled after HnScratch::ensureSlots) into
      * the scratch's slots, each with its own symmetric @p width-bit
-     * scale; under Packed serialise them into the slots' cached planes
-     * (a slot whose planes already match its column skips the
-     * serialisation), under Simd narrow them to int16 in the
-     * scratch's grow-only buffer.  Columns are independent, so with
-     * @p pool each worker prepares its own slots.
+     * scale; under Packed serialise them into the slots' planes, under
+     * Simd narrow them to int16 in the scratch's grow-only buffer.
+     * Columns are independent, so with @p pool each worker prepares
+     * its own slots.
      */
     static HnColumns prepareColumns(HnScratch &scratch, std::size_t count,
                                     std::size_t dim, unsigned width,
@@ -205,21 +201,20 @@ class HnArray
                                  unsigned width = 8,
                                  HnActivity *activity = nullptr,
                                  ThreadPool *pool = nullptr,
-                                 HnKernel kernel = HnKernel::Packed,
-                                 HnScratchArena *arena = nullptr) const;
+                                 HnKernel kernel = HnKernel::Packed) const;
 
     /**
      * Real-valued GEMM: prepareColumns, then evaluateRowsReal over
      * @p pool row chunks -- one weight traversal for every column,
      * each column quantised and dequantised with its own symmetric
-     * @p width-bit scale.  @p kernel / @p arena as in gemmSerial.
+     * @p width-bit scale.  @p kernel as in gemmSerial.
      * @return one output vector per activation column
      */
     std::vector<std::vector<double>> gemmReal(
         const std::vector<std::vector<double>> &activations,
         unsigned width = 8, HnActivity *activity = nullptr,
-        ThreadPool *pool = nullptr, HnKernel kernel = HnKernel::Packed,
-        HnScratchArena *arena = nullptr) const;
+        ThreadPool *pool = nullptr,
+        HnKernel kernel = HnKernel::Packed) const;
 
     const HardwiredNeuron &neuron(std::size_t row) const;
 
@@ -228,7 +223,7 @@ class HnArray
   private:
     /**
      * Make the quantised column in @p scratch slot @p slot readable by
-     * @p cols.kernel: its cached planes (Packed) or its narrowed copy
+     * @p cols.kernel: its planes (Packed) or its narrowed copy
      * (Simd); a no-op under Scalar.
      */
     static void prepareSlot(HnScratch &scratch, std::size_t slot,

@@ -25,24 +25,22 @@
  * Packed is the engine default.
  *
  * HnScratch owns the per-column buffers (quantised columns, their
- * CachedPlanes or narrowed copies, staged outputs) of one in-flight
- * GEMM or MoE expert stage.  HnScratchArena recycles scratches across
- * calls and across concurrent callers through a lock-free slot array
- * -- acquire/release are a single atomic exchange on the caller's
- * preferred slot in steady state, so leasing never serialises
- * concurrent GEMMs the way the old mutex-guarded freelist did.  The
- * arena hands each caller an exclusive scratch; the PackedPlanes or
- * narrowed columns built into it are then shared strictly read-only by
- * the row workers of that one GEMM or stage.
+ * PackedPlanes or narrowed copies, staged outputs) of one in-flight
+ * GEMM or MoE expert stage.  Each Engine and DistributedEngine owns
+ * one, and every GEMM it runs leases it in turn (HnScratchLease), so
+ * steady-state decode reuses the same buffers call after call.
+ * Projections that read the same input (wq/wk/wv, an expert's up and
+ * gate) share one preparation of it (Linear::forwardFused), the way
+ * the fabric serialises an activation once and wires its bit planes
+ * to every neuron that reads it.  The PackedPlanes or narrowed columns
+ * built into the scratch are shared strictly read-only by the row
+ * workers of that one GEMM or stage.
  */
 
 #ifndef HNLPU_HN_HN_KERNEL_HH
 #define HNLPU_HN_HN_KERNEL_HH
 
-#include <array>
-#include <atomic>
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "arith/bitserial.hh"
@@ -54,73 +52,19 @@ namespace hnlpu {
 enum class HnKernel { Scalar, Packed, Simd };
 
 /**
- * A PackedPlanes plus the key it was built from, so rebuilding with an
- * unchanged input column is a comparison instead of a serialisation.
- * The engine feeds the same activation vector to several projections
- * back to back (x into wq/wk/wv), and thread-affine scratch reuse
- * hands the same scratch back to the same caller -- together those
- * turn the repeated plane builds into cache hits.
- *
- * ensure() is exception-safe by ordering: the valid flag drops before
- * the build and is restored only after both the planes and the key are
- * consistent, so a throwing build can never leave a stale key claiming
- * to describe fresh planes.
- */
-class CachedPlanes
-{
-  public:
-    /**
-     * Return planes built from (values, width), rebuilding only when
-     * they differ from the previous build.  The O(n) key comparison is
-     * ~width times cheaper than the serialisation it avoids.
-     */
-    const PackedPlanes &ensure(const std::vector<std::int64_t> &values,
-                               unsigned width)
-    {
-        if (valid_ && keyWidth_ == width && key_ == values)
-            return planes_;
-        valid_ = false;
-        planes_.build(values, width);
-        key_ = values;
-        keyWidth_ = width;
-        valid_ = true;
-        ++buildCount_;
-        return planes_;
-    }
-
-    /** Serialisations actually performed (cache-miss count; test hook). */
-    std::size_t buildCount() const { return buildCount_; }
-
-    /** Drop the cached key (the next ensure() rebuilds). */
-    void invalidate() { valid_ = false; }
-
-  private:
-    PackedPlanes planes_;
-    std::vector<std::int64_t> key_;
-    unsigned keyWidth_ = 0;
-    bool valid_ = false;
-    std::size_t buildCount_ = 0;
-};
-
-/**
  * Reusable working memory of one in-flight GEMM or multi-GEMM stage
  * (exclusively owned while leased).  Every per-column buffer is
  * indexed by a column slot; all of them grow on demand and never
- * shrink, so a recycled scratch keeps its buffers across calls and
+ * shrink, so a reused scratch keeps its buffers across calls and
  * steady-state decode allocates neither plane words, narrowed or
  * quantised columns nor staged outputs.
  */
 struct HnScratch
 {
-    /**
-     * One CachedPlanes per column slot, so a slot whose column
-     * repeats (x into wq/wk/wv) skips the serialisation.
-     */
-    std::vector<CachedPlanes> batchPlanes;
     /** The quantised activation column of each slot. */
     std::vector<QuantizedVector> quantized;
-    /** Each slot's planes, in the pointer-array form the kernels read. */
-    std::vector<const PackedPlanes *> planes;
+    /** Packed kernel: each slot's bit planes. */
+    std::vector<PackedPlanes> planes;
     /** Each slot's real-valued input column (caller-filled). */
     std::vector<const double *> columns;
     /** Real-valued staging for the GEMM outputs of the lease holder. */
@@ -132,63 +76,33 @@ struct HnScratch
      */
     std::vector<std::int16_t> narrowed;
 
+    /** Set while an HnScratchLease holds this scratch. */
+    bool leased = false;
+
     /** Grow every per-slot buffer to at least @p slots slots. */
     void ensureSlots(std::size_t slots);
 };
 
 /**
- * Lock-free scratch recycler: a fixed array of atomic slots, each
- * holding one parked scratch (or null).  acquire() claims a parked
- * scratch with an atomic exchange (or allocates on a miss); release()
- * parks it back with a compare-exchange (or frees it if every slot is
- * full, which cannot happen in steady state with <= kSlots concurrent
- * leases).  There is no ABA hazard: slots only ever swap with null,
- * never with another live pointer.
- *
- * Each thread probes from its own home slot, so a thread that runs
- * back-to-back GEMVs gets the same scratch back -- which is what makes
- * the CachedPlanes key comparison hit when the input column repeats.
- */
-class HnScratchArena
-{
-  public:
-    /** Parked-scratch capacity; beyond it release() frees instead. */
-    static constexpr std::size_t kSlots = 64;
-
-    HnScratchArena() = default;
-    ~HnScratchArena();
-    HnScratchArena(const HnScratchArena &) = delete;
-    HnScratchArena &operator=(const HnScratchArena &) = delete;
-
-    std::unique_ptr<HnScratch> acquire();
-    void release(std::unique_ptr<HnScratch> scratch);
-
-    /** Scratches currently parked in the slot array (test hook). */
-    std::size_t idleCount() const;
-
-  private:
-    std::array<std::atomic<HnScratch *>, kSlots> slots_{};
-};
-
-/**
- * RAII lease: takes a scratch from @p arena (returned on destruction,
- * including during stack unwinding -- a throwing plane build cannot
- * leak the scratch out of the arena), or owns a private one when
- * @p arena is null so callers without an engine context still work.
+ * RAII lease of @p scratch for one GEMM or stage, or of a private
+ * scratch when @p scratch is null so callers without an engine context
+ * still work.  Leases do not nest: a second lease of a scratch that is
+ * already leased would overwrite columns the first one is still
+ * reading, so it fails an assertion instead.
  */
 class HnScratchLease
 {
   public:
-    explicit HnScratchLease(HnScratchArena *arena);
-    ~HnScratchLease();
+    explicit HnScratchLease(HnScratch *scratch);
+    ~HnScratchLease() { scratch_->leased = false; }
     HnScratchLease(const HnScratchLease &) = delete;
     HnScratchLease &operator=(const HnScratchLease &) = delete;
 
     HnScratch &get() { return *scratch_; }
 
   private:
-    HnScratchArena *arena_;
-    std::unique_ptr<HnScratch> scratch_;
+    HnScratch own_;
+    HnScratch *scratch_;
 };
 
 } // namespace hnlpu

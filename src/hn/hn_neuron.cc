@@ -89,19 +89,19 @@ HardwiredNeuron::computeSerial(
 }
 
 void
-HardwiredNeuron::checkBatch(const PackedPlanes *const *planes,
+HardwiredNeuron::checkBatch(const PackedPlanes *planes,
                             std::size_t batch) const
 {
     hnlpu_assert(batch >= 1 && batch <= kHnBatchChunk,
                  "batch ", batch, " outside [1, ", kHnBatchChunk, "]");
     for (std::size_t b = 0; b < batch; ++b) {
-        hnlpu_assert(planes[b]->laneCount() ==
+        hnlpu_assert(planes[b].laneCount() ==
                          topology_.tmpl().inputCount,
                      "activation count mismatch in batch column ", b);
-        hnlpu_assert(planes[b]->wordsPerPlane() == wordsPerPlane_,
+        hnlpu_assert(planes[b].wordsPerPlane() == wordsPerPlane_,
                      "packed plane geometry mismatch in batch column ",
                      b);
-        hnlpu_assert(planes[b]->width() == planes[0]->width(),
+        hnlpu_assert(planes[b].width() == planes[0].width(),
                      "batch columns must share one width");
     }
 }
@@ -126,19 +126,19 @@ HardwiredNeuron::addActivity(unsigned width, std::size_t columns,
 }
 
 void
-HardwiredNeuron::computePackedBatch(const PackedPlanes *const *planes,
+HardwiredNeuron::computePackedBatch(const PackedPlanes *planes,
                                     std::size_t batch, std::int64_t *out,
                                     HnActivity *activity) const
 {
     checkBatch(planes, batch);
-    const unsigned width = planes[0]->width();
+    const unsigned width = planes[0].width();
 
     // Per-(column, bit) plane base pointers, hoisted once per neuron
     // (width <= 63 by BitSerializer contract).
     const std::uint64_t *plane_ptr[kHnBatchChunk][63];
     for (std::size_t b = 0; b < batch; ++b) {
         for (unsigned bit = 0; bit < width; ++bit)
-            plane_ptr[b][bit] = planes[b]->plane(bit);
+            plane_ptr[b][bit] = planes[b].plane(bit);
     }
 
     const auto &twice = fp4TwiceValueTable();

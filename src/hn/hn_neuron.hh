@@ -115,9 +115,10 @@ class HardwiredNeuron
      *
      * All planes must share one width and this neuron's geometry;
      * batch must be in [1, kHnBatchChunk].
+     * @param planes the batch columns' planes, contiguous
      * @param out receives batch results, out[b] for planes[b]
      */
-    void computePackedBatch(const PackedPlanes *const *planes,
+    void computePackedBatch(const PackedPlanes *planes,
                             std::size_t batch, std::int64_t *out,
                             HnActivity *activity = nullptr) const;
 
@@ -147,7 +148,7 @@ class HardwiredNeuron
 
   private:
     /** Assert the batch-kernel contract on @p planes / @p batch. */
-    void checkBatch(const PackedPlanes *const *planes,
+    void checkBatch(const PackedPlanes *planes,
                     std::size_t batch) const;
 
     WireTopology topology_;

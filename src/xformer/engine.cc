@@ -64,7 +64,7 @@ Engine::Engine(const TransformerConfig &cfg, const ModelWeights &weights,
     ctx_.activity =
         path_ == ExecPath::Hardwired ? &stats_.hnActivity : nullptr;
     ctx_.pool = pool_.get();
-    ctx_.arena = &scratchArena_;
+    ctx_.scratch = &scratch_;
     ctx_.sink = exec_.sink;
 
     // With a tracer wired up, dispatched pool chunks become
@@ -100,11 +100,18 @@ Engine::attentionBatch(const BlockWeights &block,
     const std::size_t group = cfg_.gqaGroupSize();
     ThreadPool *pool = pool_.get();
 
-    // The LoRA delta is applied per sequence AFTER the batched frozen
-    // projection, so a column with adapter A is bit-identical to a solo
-    // forward with A as the engine default: the batched GEMM itself is
-    // already per-column exact (Linear::forwardBatch contract).
-    std::vector<Vec> q_flat = block.wq.forwardBatch(x_norms, ctx_);
+    // wq/wk/wv read the same x_norms: one column preparation and one
+    // row pass serve all three.  The LoRA delta is applied per
+    // sequence AFTER the batched frozen projection, so a column with
+    // adapter A is bit-identical to a solo forward with A as the
+    // engine default: the batched GEMM itself is already per-column
+    // exact (Linear::forwardFused contract).
+    const Linear *const qkv[] = {&block.wq, &block.wk, &block.wv};
+    std::vector<Vec> qkv_flat[3];
+    Linear::forwardFused(qkv, x_norms, ctx_, qkv_flat);
+    std::vector<Vec> &q_flat = qkv_flat[0];
+    std::vector<Vec> &k_flat = qkv_flat[1];
+    const std::vector<Vec> &v_flat = qkv_flat[2];
     for (std::size_t s = 0; s < batch; ++s) {
         const LoraSet *lora = loras[s];
         if (!lora)
@@ -113,8 +120,6 @@ Engine::attentionBatch(const BlockWeights &block,
         for (std::size_t i = 0; i < q_flat[s].size(); ++i)
             q_flat[s][i] += dq[i];
     }
-    std::vector<Vec> k_flat = block.wk.forwardBatch(x_norms, ctx_);
-    const std::vector<Vec> v_flat = block.wv.forwardBatch(x_norms, ctx_);
 
     // Per-sequence positions: each cache advances independently, so
     // RoPE and the causal context length are per column.  Keys are

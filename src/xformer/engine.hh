@@ -41,7 +41,8 @@ struct ExecOptions
     std::size_t threads = 1; //!< total parallelism incl. calling thread
     /**
      * Hardwired-path GEMV kernel.  Packed (default) compiles region
-     * masks and shares one bit-plane serialisation per GEMV; Simd
+     * masks and serialises each input into bit planes once for every
+     * projection that reads it (wq/wk/wv, an expert's up and gate); Simd
      * takes each row's exact dot product with an int8 image of 2*w
      * built at programming time (hn/hn_simd.hh; Packed for
      * activations wider than 16 bits); Scalar is the original per-row
@@ -207,7 +208,7 @@ class Engine
     /**
      * The bundled execution context every weight-bearing call below
      * this engine reads (path / bits / kernel / activity / pool /
-     * scratch arena / obs sink).  The serving layer shares it for its
+     * scratch / obs sink).  The serving layer shares it for its
      * own span and metric emission.
      */
     const ExecContext &execContext() const { return ctx_; }
@@ -242,15 +243,15 @@ class Engine
     /** Null when exec_.threads <= 1 (pure serial execution). */
     std::unique_ptr<ThreadPool> pool_;
     /**
-     * Recycles the scratches (quantised columns, bit planes, staged
-     * outputs) of every GEMM and MoE expert stage this engine runs,
-     * so steady-state decode allocates none of those buffers.
+     * The buffers (quantised columns, bit planes, staged outputs) that
+     * every GEMM and MoE expert stage this engine runs leases in turn,
+     * so steady-state decode allocates none of them.
      */
-    HnScratchArena scratchArena_;
+    HnScratch scratch_;
     EngineStats stats_;
     /**
      * Built in the constructor (only ctx_.lora changes later, via
-     * setLora); points at pool_, scratchArena_ and stats_.hnActivity,
+     * setLora); points at pool_, scratch_ and stats_.hnActivity,
      * so the engine must not be moved (copying is already impossible:
      * weights_ is a reference member).
      */

@@ -90,24 +90,52 @@ std::vector<Vec>
 Linear::forwardBatch(const std::vector<Vec> &xs,
                      const ExecContext &ctx) const
 {
+    const Linear *const self = this;
+    std::vector<Vec> ys;
+    forwardFused({&self, 1}, xs, ctx, {&ys, 1});
+    return ys;
+}
+
+void
+Linear::forwardFused(std::span<const Linear *const> projections,
+                     const std::vector<Vec> &xs, const ExecContext &ctx,
+                     std::span<std::vector<Vec>> ys)
+{
+    hnlpu_assert(!projections.empty() &&
+                     ys.size() == projections.size(),
+                 ys.size(), " outputs for ", projections.size(),
+                 " projections");
     const std::size_t batch = xs.size();
-    if (batch == 0)
-        return {};
-    HnScratchLease lease(ctx.arena);
+    const std::size_t in_dim = projections.front()->inDim_;
+    std::size_t rows = 0;
+    for (const Linear *p : projections) {
+        hnlpu_assert(p->inDim_ == in_dim, "fused projections of input "
+                     "width ", p->inDim_, " and ", in_dim);
+        rows += p->outDim_;
+    }
+    if (batch == 0) {
+        for (std::vector<Vec> &y : ys)
+            y.clear();
+        return;
+    }
+    HnScratchLease lease(ctx.scratch);
     HnScratch &scratch = lease.get();
     scratch.ensureSlots(batch);
     for (std::size_t b = 0; b < batch; ++b) {
-        hnlpu_assert(xs[b].size() == inDim_,
+        hnlpu_assert(xs[b].size() == in_dim,
                      "batch column ", b, " input size mismatch: ",
-                     xs[b].size(), " vs ", inDim_);
+                     xs[b].size(), " vs ", in_dim);
         scratch.columns[b] = xs[b].data();
     }
-    const LinearColumns cols =
-        prepareColumns(scratch, batch, inDim_, ctx);
-    scratch.values.resize(outDim_ * batch);
+    const LinearColumns cols = prepareColumns(scratch, batch, in_dim, ctx);
+    // Each projection stages its outputs as one column-major block of
+    // out_p x batch values, in projection order: the block of the
+    // projection whose rows start at row `first` of the concatenation
+    // starts at out + first * batch.
+    scratch.values.resize(rows * batch);
     double *const out = scratch.values.data();
 
-    // A reference row is inDim_ multiply-adds per column, so small
+    // A reference row is in_dim multiply-adds per column, so small
     // projections (attention heads, routers) are microsecond-scale
     // jobs; the grain keeps each chunk worth at least ~16k
     // multiply-adds so the pool never wakes a worker for less work
@@ -118,18 +146,32 @@ Linear::forwardBatch(const std::vector<Vec> &xs,
         ctx.path == ExecPath::Hardwired
             ? 1
             : std::max<std::size_t>(
-                  1, std::size_t(16384) / (inDim_ * batch));
-    parallelRows(ctx.pool, outDim_, ctx.activity,
+                  1, std::size_t(16384) / (in_dim * batch));
+    parallelRows(ctx.pool, rows, ctx.activity,
                  [&](std::size_t begin, std::size_t end,
                      HnActivity *local) {
-        evaluateRows(cols, begin, end, out, outDim_, local);
+        std::size_t first = 0;
+        for (const Linear *p : projections) {
+            const std::size_t lo = std::max(begin, first);
+            const std::size_t hi = std::min(end, first + p->outDim_);
+            if (lo < hi) {
+                p->evaluateRows(cols, lo - first, hi - first,
+                                out + first * batch, p->outDim_, local);
+            }
+            first += p->outDim_;
+        }
     }, grain);
 
-    std::vector<Vec> ys;
-    ys.reserve(batch);
-    for (std::size_t b = 0; b < batch; ++b)
-        ys.emplace_back(out + b * outDim_, out + (b + 1) * outDim_);
-    return ys;
+    const double *block = out;
+    for (std::size_t i = 0; i < projections.size(); ++i) {
+        const std::size_t out_dim = projections[i]->outDim_;
+        ys[i].clear();
+        ys[i].reserve(batch);
+        for (std::size_t b = 0; b < batch; ++b)
+            ys[i].emplace_back(block + b * out_dim,
+                               block + (b + 1) * out_dim);
+        block += out_dim * batch;
+    }
 }
 
 LinearColumns

@@ -18,6 +18,7 @@
 
 #include <memory>
 #include <mutex>
+#include <span>
 #include <vector>
 
 #include "arith/fp4.hh"
@@ -52,7 +53,10 @@ enum class ExecPath { Reference, Hardwired };
  * adapter the attention projections add their low-rank delta from
  * (xformer/lora.hh); it is the *default* adapter -- batched entry
  * points accept a per-sequence override so one engine can serve many
- * tenants in a single batch.
+ * tenants in a single batch.  `scratch` is the owning engine's
+ * HnScratch, which every GEMM below leases in turn, so a context that
+ * sets it serves one caller thread at a time; null gives each call a
+ * private one.
  */
 struct ExecContext
 {
@@ -61,7 +65,7 @@ struct ExecContext
     HnKernel kernel = HnKernel::Packed;
     HnActivity *activity = nullptr;
     ThreadPool *pool = nullptr;
-    HnScratchArena *arena = nullptr;
+    HnScratch *scratch = nullptr;
     const obs::Sink *sink = nullptr;
     /** Default LoRA adapter set; null runs the base model. */
     const LoraSet *lora = nullptr;
@@ -70,12 +74,12 @@ struct ExecContext
 /**
  * Input columns of a projection, prepared once for any number of
  * Linear::evaluateRows calls on projections of the same input width
- * (the MoE expert stage runs an expert's up and gate rows off one
- * preparation).  On the hardwired path preparing quantises and
- * serialises the columns (HnArray::prepareColumns); on the reference
- * path it records the column pointers and nothing more.  A non-owning
- * view, valid while the scratch and column storage it was prepared
- * from are.
+ * (Linear::forwardFused runs wq/wk/wv, and the MoE expert stage an
+ * expert's up and gate rows, off one preparation).  On the hardwired
+ * path preparing quantises and serialises the columns
+ * (HnArray::prepareColumns); on the reference path it records the
+ * column pointers and nothing more.  A non-owning view, valid while
+ * the scratch and column storage it was prepared from are.
  */
 struct LinearColumns
 {
@@ -117,27 +121,40 @@ class Linear
     /** y = W x: forwardBatch of one column. */
     Vec forward(const Vec &x, const ExecContext &ctx) const;
 
-    /**
-     * Batched y_b = W x_b on the path selected by @p ctx:
-     * prepareColumns, then evaluateRows over pool row chunks, so one
-     * weight-side traversal serves every input column (the hardwired
-     * path runs HnArray::evaluateRowsReal, the body of
-     * HnArray::gemmReal; on the reference path each weight row is
-     * loaded once and multiplied into per-column accumulators).  The
-     * column slots and staged outputs are leased from ctx.arena on
-     * both paths; without an arena every call allocates a fresh
-     * HnScratch.  Column b is bit-identical to running it alone
-     * (a batch of one) on both paths -- the serving layer relies on
-     * this to keep batched decode bit-exact with sequential decode
-     * (tests/test_serving.cc).  With ctx.pool set, output rows are
-     * partitioned into disjoint contiguous chunks, so the parallel
-     * result is bit-exactly the serial one; ctx.kernel Packed
-     * (default), Simd and Scalar are likewise bit-identical in both
-     * outputs and activity counters.  ctx.activity accumulates the
-     * exact sum of per-column counters.
-     */
+    /** Batched y_b = W x_b: forwardFused of this one projection. */
     std::vector<Vec> forwardBatch(const std::vector<Vec> &xs,
                                   const ExecContext &ctx) const;
+
+    /**
+     * ys[p][b] = W_p x_b for every projection p of @p projections (all
+     * of one input width) on the path selected by @p ctx:
+     * prepareColumns once, then one evaluateRows pass over the
+     * projections' concatenated rows in pool row chunks, each chunk
+     * split at the projection boundaries.  One preparation serves
+     * every projection (wq/wk/wv read the same x), and one weight-side
+     * traversal serves every input column (the hardwired path runs
+     * HnArray::evaluateRowsReal, the body of HnArray::gemmReal; on the
+     * reference path each weight row is loaded once and multiplied
+     * into per-column accumulators).  The column slots and staged
+     * outputs are leased from ctx.scratch.
+     *
+     * Rows are independent, so ys[p] is bit-identical to
+     * W_p.forwardBatch(xs, ctx) and column b to running it alone (a
+     * batch of one) on both paths -- the serving layer relies on this
+     * to keep batched decode bit-exact with sequential decode
+     * (tests/test_serving.cc).  With ctx.pool set the parallel result
+     * is bit-exactly the serial one; ctx.kernel Packed (default), Simd
+     * and Scalar are likewise bit-identical in both outputs and
+     * activity counters.  ctx.activity accumulates the exact sum of
+     * per-column counters.
+     *
+     * @param ys one output per projection, each overwritten with
+     *        xs.size() vectors
+     */
+    static void forwardFused(std::span<const Linear *const> projections,
+                             const std::vector<Vec> &xs,
+                             const ExecContext &ctx,
+                             std::span<std::vector<Vec>> ys);
 
     /**
      * Prepare the columns @p scratch.columns[0, count) (each @p dim
@@ -151,11 +168,11 @@ class Linear
                                         const ExecContext &ctx);
 
     /**
-     * The per-row body of forwardBatch: output rows [begin, end) for
+     * The per-row body of forwardFused: output rows [begin, end) for
      * every column of @p cols, row r of column b written to
      * out[b * stride + r].  Dead rows read 0.0 on both paths.  Rows
      * are independent and each row's arithmetic does not depend on the
-     * range it rides in, so any row partition -- forwardBatch's pool
+     * range it rides in, so any row partition -- forwardFused's pool
      * chunks, the MoE stage's (expert, row-tile) tasks -- is
      * bit-identical to one serial pass.  @p activity accumulates the
      * hardwired path's counters.

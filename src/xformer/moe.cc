@@ -161,7 +161,7 @@ MoeLayer::forwardBatch(
             // and its argmax ordering must be stable across paths for
             // the equivalence tests to be meaningful.
             ExecContext route_ctx{ExecPath::Reference};
-            route_ctx.arena = ctx.arena;
+            route_ctx.scratch = ctx.scratch;
             const std::vector<Vec> logits =
                 router_.forwardBatch(xs, route_ctx);
             for (std::size_t t = 0; t < batch; ++t) {
@@ -193,7 +193,7 @@ MoeLayer::forwardBatch(
     const std::size_t hidden = experts_[0].up.inDim();
     const std::size_t ffn = experts_[0].up.outDim();
     const std::size_t out_dim = experts_[0].down.outDim();
-    HnScratchLease lease(ctx.arena);
+    HnScratchLease lease(ctx.scratch);
     HnScratch &scratch = lease.get();
     scratch.ensureSlots(columns);
     // Column-major staging: up (then silu(gate) * up) and gate are

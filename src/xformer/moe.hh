@@ -70,7 +70,7 @@ class MoeLayer
      * output is bit-identical to running it alone (a batch of one)
      * and to the serial execution.  ctx.path/activationBits/kernel
      * drive the expert projections; their buffers are leased from
-     * ctx.arena.
+     * ctx.scratch.
      *
      * The expert GEMMs count no HnActivity: ctx.activity (and so
      * EngineStats::hnActivity and the benchmark's hn.* counts) covers

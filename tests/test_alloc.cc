@@ -91,20 +91,21 @@ namespace {
 
 /**
  * Upper bounds on heap allocations per decode step of tinyTestModel()
- * (2 layers, 4 experts top-2), measured with this harness: 150 per step
- * at batch 1 and 566 at batch 8, the same in every one of 24 runs
- * (4-vCPU AVX-512 host, GCC 12.2).  The MoE expert stage leases its
- * buffers on the calling thread, so every step allocates the same.
+ * (2 layers, 4 experts top-2), measured with this harness: 138 per step
+ * at batch 1 and 554 at batch 8 (4-vCPU AVX-512 host, GCC 12.2).
+ * wq/wk/wv share one row pass (Linear::forwardFused), and the MoE
+ * expert stage leases its buffers on the calling thread, so every step
+ * allocates the same.
  */
-constexpr std::size_t kBatch1Bound = 150;
-constexpr std::size_t kBatch8Bound = 566;
+constexpr std::size_t kBatch1Bound = 138;
+constexpr std::size_t kBatch8Bound = 554;
 
 constexpr std::size_t kSteps = 40;
 constexpr std::size_t kWarmupSteps = 2;
 
 /**
  * Allocations of each counted decode step at @p batch.  The first pass
- * grows the KV block pool, the scratch arena and every buffer that
+ * grows the KV block pool, the engine's scratch and every buffer that
  * keeps its capacity; the second pass decodes fresh caches (their
  * block lists reserved up front) over the released blocks, and its
  * steps after kWarmupSteps are counted.  kSteps crosses two KV block

@@ -7,10 +7,10 @@
  * on its Packed fallback), ragged (cols % 64 != 0) shapes, batches
  * across kHnBatchChunk, all-zero / sparse activations, dead-row masks,
  * stuck-at faulted weights, thread counts and sums past the int32
- * range.  Also covers the PackedPlanes serializer, the lock-free
- * scratch arena (recycling, exception safety of the lease, concurrent
- * acquire/release), CachedPlanes rebuild avoidance, and end-to-end
- * engine equality under ExecOptions::kernel.  Every Simd check runs
+ * range.  Also covers the PackedPlanes serializer, the scratch lease,
+ * projections fused off one column preparation (Linear::forwardFused)
+ * against separate ones, and end-to-end engine equality under
+ * ExecOptions::kernel.  Every Simd check runs
  * once per SIMD tier the host supports (ScopedHnSimdLevel), so an
  * AVX-512 host executes the AVX2 and Portable builds of the dot loop
  * too.  Single-column Packed checks call the batch kernel with one
@@ -18,9 +18,8 @@
  *
  * Registered under ctest label `kernel`; scripts/tier1.sh runs it, like
  * every test, under ThreadSanitizer to prove the per-GEMM columns are
- * shared strictly read-only across row workers and the arena's atomic
- * slot handoff is race-free, and with -DHNLPU_SIMD=OFF, where the
- * Portable build is the only tier.
+ * shared strictly read-only across row workers, and with
+ * -DHNLPU_SIMD=OFF, where the Portable build is the only tier.
  */
 
 #include <gtest/gtest.h>
@@ -93,9 +92,8 @@ std::int64_t
 packedOne(const HardwiredNeuron &neuron, const PackedPlanes &planes,
           HnActivity *activity)
 {
-    const PackedPlanes *column = &planes;
     std::int64_t out = 0;
-    neuron.computePackedBatch(&column, 1, &out, activity);
+    neuron.computePackedBatch(&planes, 1, &out, activity);
     return out;
 }
 
@@ -405,155 +403,67 @@ TEST(PackedKernel, StuckAtFaultedLinearStaysBitExact)
     }
 }
 
-// -- scratch arena --------------------------------------------------------
+// -- projections fused off one column preparation -------------------------
 
-TEST(ScratchArena, RecyclesScratchesAcrossLeases)
+TEST(FusedProjections, MatchSeparateForwardBatchOnEveryKernelAndPool)
 {
-    HnScratchArena arena;
-    EXPECT_EQ(arena.idleCount(), 0u);
-    {
-        HnScratchLease a(&arena);
-        HnScratchLease b(&arena); // concurrent leases get distinct ones
-        EXPECT_NE(&a.get(), &b.get());
-        EXPECT_EQ(arena.idleCount(), 0u);
-    }
-    EXPECT_EQ(arena.idleCount(), 2u);
-    {
-        HnScratchLease c(&arena); // reuses a parked scratch
-        EXPECT_EQ(arena.idleCount(), 1u);
-    }
-    EXPECT_EQ(arena.idleCount(), 2u);
-}
-
-TEST(ScratchArena, ArrayGemvParksScratchForReuse)
-{
-    const std::size_t rows = 4, cols = 40;
-    const auto tmpl = makeTemplate(cols);
-    const HnArray array(tmpl, syntheticFp4Weights(rows * cols, 3), rows,
-                        cols);
-    const auto acts = randomActivations(cols, 8, 5);
-
-    HnScratchArena arena;
-    const auto first = array.gemvSerial(acts, 8, nullptr, nullptr,
-                                        HnKernel::Packed, &arena);
-    EXPECT_EQ(arena.idleCount(), 1u);
-    const auto second = array.gemvSerial(acts, 8, nullptr, nullptr,
-                                         HnKernel::Packed, &arena);
-    EXPECT_EQ(arena.idleCount(), 1u); // same scratch went round-trip
-    EXPECT_EQ(first, second);
-}
-
-TEST(ScratchArena, LeaseReturnsScratchDuringStackUnwinding)
-{
-    // Regression guard: the plane build runs inside the lease's scope,
-    // and build() can throw (std::bad_alloc from the word buffer).  If
-    // the lease were not RAII, a throwing build would leak the scratch
-    // out of the arena for good.
-    HnScratchArena arena;
-    try {
-        HnScratchLease lease(&arena);
-        lease.get().batchPlanes.resize(1);
-        lease.get().batchPlanes[0].ensure({1, 2, 3}, 8);
-        throw std::runtime_error("simulated build failure");
-    } catch (const std::runtime_error &) {
-    }
-    EXPECT_EQ(arena.idleCount(), 1u);
-
-    // And the parked scratch is reusable: the interrupted build left
-    // CachedPlanes either fully built or marked invalid, never a stale
-    // key over fresh planes.
-    HnScratchLease again(&arena);
-    EXPECT_EQ(arena.idleCount(), 0u);
-    ASSERT_EQ(again.get().batchPlanes.size(), 1u);
-    const PackedPlanes &planes =
-        again.get().batchPlanes[0].ensure({4, 5}, 8);
-    EXPECT_EQ(planes.laneCount(), 2u);
-}
-
-TEST(ScratchArena, ConcurrentLeasesNeverLoseOrDoubleHandOutScratches)
-{
-    // Hammer the lock-free slot array from many raw threads (this is
-    // the tier-1 TSan target for the arena): every acquire must hand
-    // out an exclusively owned scratch -- concurrent writes into the
-    // scratch would be a detectable race if two threads ever shared
-    // one -- and nothing may leak.
-    HnScratchArena arena;
-    constexpr std::size_t kThreads = 8;
-    constexpr std::size_t kRounds = 200;
-    std::vector<std::thread> threads;
-    threads.reserve(kThreads);
-    for (std::size_t t = 0; t < kThreads; ++t) {
-        threads.emplace_back([&arena, t] {
-            for (std::size_t round = 0; round < kRounds; ++round) {
-                HnScratchLease lease(&arena);
-                // Exclusive ownership: unsynchronised writes are only
-                // safe if no other thread holds this scratch.
-                auto &columns = lease.get().batchPlanes;
-                columns.resize(1);
-                columns[0].ensure(
-                    {std::int64_t(t), std::int64_t(round % 100)}, 8);
+    // Three projections of one input width, none a multiple of 8 rows
+    // high, so the pool's 8-aligned row chunks straddle the projection
+    // boundaries; the middle one has dead rows at both of its ends.
+    // Batch 9 crosses kHnBatchChunk.  Every fused result must equal
+    // the projection's own forwardBatch, outputs and activity both.
+    const std::size_t in = 70;
+    const Linear a = Linear::random(13, in, 1);
+    const Linear b(Linear::random(21, in, 2).codes(), 21, in, {0, 5, 20});
+    const Linear c = Linear::random(6, in, 3);
+    const Linear *const projections[] = {&a, &b, &c};
+    ThreadPool pool(4, /*cap_to_hardware=*/false);
+    HnScratch scratch;
+    for (std::size_t batch : {1u, 9u}) {
+        std::vector<Vec> xs(batch, Vec(in));
+        for (std::size_t col = 0; col < batch; ++col) {
+            for (std::size_t i = 0; i < in; ++i)
+                xs[col][i] = std::sin(double(i * 7 + col * 3) * 0.37);
+        }
+        const auto check = [&](ExecPath path, HnKernel kernel,
+                               ThreadPool *p) {
+            SCOPED_TRACE(testing::Message()
+                         << "batch " << batch << " path " << int(path)
+                         << " kernel " << int(kernel) << " pool "
+                         << (p != nullptr));
+            HnActivity want_act, got_act;
+            ExecContext ctx{path, 8, kernel, &want_act, p, &scratch};
+            std::vector<Vec> want[3];
+            for (std::size_t i = 0; i < 3; ++i)
+                want[i] = projections[i]->forwardBatch(xs, ctx);
+            ctx.activity = &got_act;
+            std::vector<Vec> got[3];
+            Linear::forwardFused(projections, xs, ctx, got);
+            for (std::size_t i = 0; i < 3; ++i)
+                EXPECT_EQ(got[i], want[i]) << "projection " << i;
+            expectActivityEq(got_act, want_act);
+            for (std::uint32_t r : b.deadRows()) {
+                for (const Vec &y : got[1])
+                    EXPECT_EQ(y[r], 0.0);
             }
-        });
+        };
+        for (ThreadPool *p : {static_cast<ThreadPool *>(nullptr), &pool}) {
+            check(ExecPath::Reference, HnKernel::Packed, p);
+            check(ExecPath::Hardwired, HnKernel::Scalar, p);
+            check(ExecPath::Hardwired, HnKernel::Packed, p);
+            forEachSimdTier(
+                [&] { check(ExecPath::Hardwired, HnKernel::Simd, p); });
+        }
     }
-    for (auto &thread : threads)
-        thread.join();
-    // Every scratch came back; at most one per thread was ever live.
-    EXPECT_LE(arena.idleCount(), kThreads);
-    EXPECT_GE(arena.idleCount(), 1u);
 }
 
-// -- CachedPlanes rebuild avoidance ---------------------------------------
-
-TEST(CachedPlanes, RepeatedColumnSkipsRebuild)
+TEST(FusedProjections, NestedScratchLeaseIsRefused)
 {
-    CachedPlanes cached;
-    const std::vector<std::int64_t> x{3, -1, 7, 0};
-    const std::vector<std::int64_t> y{3, -1, 7, 1};
-
-    const PackedPlanes &first = cached.ensure(x, 8);
-    EXPECT_EQ(cached.buildCount(), 1u);
-    // Same column, same width: no rebuild, same planes object.
-    const PackedPlanes &second = cached.ensure(x, 8);
-    EXPECT_EQ(cached.buildCount(), 1u);
-    EXPECT_EQ(&first, &second);
-    // Width change forces a rebuild even for identical values.
-    cached.ensure(x, 16);
-    EXPECT_EQ(cached.buildCount(), 2u);
-    // Value change forces a rebuild.
-    cached.ensure(y, 16);
-    EXPECT_EQ(cached.buildCount(), 3u);
-    // invalidate() drops the key.
-    cached.invalidate();
-    cached.ensure(y, 16);
-    EXPECT_EQ(cached.buildCount(), 4u);
-}
-
-TEST(CachedPlanes, GemvWithUnchangedColumnReusesPlanes)
-{
-    // Thread-affine scratch recycling + CachedPlanes: back-to-back
-    // GEMVs with the same input column (wq/wk/wv in the engine) must
-    // serialise the column once, not twice; the Simd GEMV narrows the
-    // column instead and builds no planes.
-    const std::size_t rows = 4, cols = 40;
-    const auto tmpl = makeTemplate(cols);
-    const HnArray array(tmpl, syntheticFp4Weights(rows * cols, 3), rows,
-                        cols);
-    const auto acts = randomActivations(cols, 8, 5);
-
-    HnScratchArena arena;
-    const auto first = array.gemvSerial(acts, 8, nullptr, nullptr,
-                                        HnKernel::Packed, &arena);
-    const auto second = array.gemvSerial(acts, 8, nullptr, nullptr,
-                                         HnKernel::Packed, &arena);
-    const auto third = array.gemvSerial(acts, 8, nullptr, nullptr,
-                                        HnKernel::Simd, &arena);
-    EXPECT_EQ(first, second);
-    EXPECT_EQ(first, third);
-    // The recycled scratch performed exactly one serialisation across
-    // all three GEMVs.
-    HnScratchLease lease(&arena);
-    ASSERT_EQ(lease.get().batchPlanes.size(), 1u);
-    EXPECT_EQ(lease.get().batchPlanes[0].buildCount(), 1u);
+    // A lease inside a live lease of the same scratch would overwrite
+    // the columns the outer GEMM is still reading.
+    HnScratch scratch;
+    HnScratchLease outer(&scratch);
+    EXPECT_DEATH(HnScratchLease inner(&scratch), "leased twice");
 }
 
 // -- engine-level equality ------------------------------------------------

@@ -20,6 +20,7 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -211,6 +212,37 @@ TEST(ThreadPool, NestedParallelForRunsInlineWithoutDeadlock)
     });
     for (std::size_t i = 0; i < hits.size(); ++i)
         EXPECT_EQ(hits[i].load(), 1) << "index " << i;
+}
+
+TEST(ThreadPool, ThrowingCallerChunkJoinsWorkersAndRethrows)
+{
+    // The caller's chunk 0 throws while the workers' chunks are still
+    // running.  The exception must reach the caller only after every
+    // worker chunk has finished (their body is about to be destroyed),
+    // and must not leave the caller marked as inside a parallel region,
+    // which would run its next job inline.
+    ThreadPool pool(4, /*cap_to_hardware=*/false);
+    std::atomic<int> finished{0};
+    EXPECT_THROW(
+        pool.parallelForChunked(4, [&](std::size_t chunk, std::size_t,
+                                       std::size_t) {
+            if (chunk == 0)
+                throw std::runtime_error("chunk 0");
+            std::this_thread::sleep_for(std::chrono::milliseconds(50));
+            ++finished;
+        }),
+        std::runtime_error);
+    EXPECT_EQ(finished.load(), 3);
+
+    // Four indices on four lanes: one index per chunk.
+    std::vector<std::thread::id> ran(4);
+    pool.parallelFor(4, [&](std::size_t begin, std::size_t end) {
+        for (std::size_t i = begin; i < end; ++i)
+            ran[i] = std::this_thread::get_id();
+    });
+    for (std::size_t i = 1; i < ran.size(); ++i)
+        EXPECT_NE(ran[i], std::this_thread::get_id())
+            << "index " << i << " ran inline";
 }
 
 TEST(ThreadPool, ReusableAcrossManyJobs)
@@ -553,9 +585,9 @@ expectTiledScheduleBitExact(const MoeLayer &moe, const std::vector<Vec> &xs,
 {
     SCOPED_TRACE(testing::Message()
                  << "path " << int(path) << " kernel " << int(kernel));
-    HnScratchArena arena;
+    HnScratch scratch;
     ExecContext ctx{path, 8, kernel};
-    ctx.arena = &arena;
+    ctx.scratch = &scratch;
     std::vector<MoeRun> solo;
     for (const Vec &x : xs)
         solo.push_back(runMoe(moe, {x}, ctx));
