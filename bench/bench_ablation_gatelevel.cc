@@ -37,7 +37,8 @@ main()
         tmpl.slackFactor = 4.0;
         auto weights = syntheticFp4Weights(fan_in, fan_in);
         auto topo = *WireTopology::program(tmpl, weights);
-        HardwiredNeuron functional(topo);
+        const HnArray row(tmpl, weights, 1, fan_in);
+        const HardwiredNeuron functional = row.neuron(0);
         HnDatapath circuit(topo, 8);
 
         // Spot-verify the circuit before reporting its structure.

@@ -17,12 +17,14 @@
  *     every mix, on both execution paths -- sharing is a pure
  *     scheduling optimisation;
  *   - at the 90% mix the reference-path p50 TTFT improves by >= 1.5x
- *     over the unshared run, as the median of kGatePairs off/on pairs
- *     whose order alternates (one pair once read 1.33x on a noisy
- *     host);
+ *     over the unshared run;
  *   - the 0% mix takes no prefix hits (nothing is shareable).
  *
- * Measurements go to BENCH_prefix.json.
+ * Every mix is measured as kPairs off/on pairs whose order alternates
+ * and reported as the pair with the median TTFT speedup (a single pair
+ * once read 1.33x at the hardwired 0% mix, where nothing is
+ * shareable, on a noisy host).  Measurements, each pair's speedup
+ * included, go to BENCH_prefix.json.
  *
  * Usage: bench_prefix [requests] [json] [--smoke] [--json-out path]
  */
@@ -49,8 +51,8 @@ using namespace hnlpu;
 
 constexpr std::size_t kSharedTokens = 48;
 constexpr std::size_t kSlots = 4;
-/** Off/on pairs behind the gated mix's speedup (odd: a true median). */
-constexpr std::size_t kGatePairs = 3;
+/** Off/on pairs behind each mix's speedup (odd: a true median). */
+constexpr std::size_t kPairs = 3;
 
 struct MixResult
 {
@@ -58,6 +60,8 @@ struct MixResult
     double ttftOff = 0, ttftOn = 0; //!< p50 seconds
     double tpsOff = 0, tpsOn = 0;   //!< aggregate decoded tokens/s
     std::size_t hits = 0, misses = 0, matchedTokens = 0;
+    /** TTFT speedup of every pair, in the order they ran. */
+    std::vector<double> pairSpeedups;
 };
 
 [[noreturn]] void
@@ -116,14 +120,15 @@ speedupOf(const MixResult &m)
 
 /**
  * One mix at one path: serve the trace with the cache off and on,
- * @p pairs times, and return the pair with the median TTFT speedup.
- * The side that runs first alternates, so a host that speeds up or
- * slows down during the measurement favours neither.
+ * kPairs times, and return the pair with the median TTFT speedup, with
+ * every pair's speedup.  The side that runs first alternates, so a
+ * host that speeds up or slows down during the measurement favours
+ * neither.
  */
 MixResult
 measureMix(const TransformerConfig &cfg, const ModelWeights &weights,
            ExecPath path, std::size_t requests, std::size_t percent,
-           std::size_t decode_tokens, std::size_t pairs)
+           std::size_t decode_tokens)
 {
     expt::TraceConfig tc;
     tc.vocabSize = cfg.vocabSize;
@@ -135,8 +140,9 @@ measureMix(const TransformerConfig &cfg, const ModelWeights &weights,
     tc.sharedTokens = kSharedTokens;
     const auto trace = expt::makeServingTrace(tc);
 
-    std::vector<MixResult> runs(pairs);
-    for (std::size_t pair = 0; pair < pairs; ++pair) {
+    std::vector<MixResult> runs(kPairs);
+    std::vector<double> speedups;
+    for (std::size_t pair = 0; pair < kPairs; ++pair) {
         MixResult &m = runs[pair];
         m.percent = percent;
         std::vector<std::vector<std::size_t>> tokens[2];
@@ -146,12 +152,15 @@ measureMix(const TransformerConfig &cfg, const ModelWeights &weights,
         // Prefix sharing must not change one decoded token.
         if (tokens[0] != tokens[1])
             fail("prefix cache changed decoded tokens");
+        speedups.push_back(speedupOf(m));
     }
     std::sort(runs.begin(), runs.end(),
               [](const MixResult &a, const MixResult &b) {
                   return speedupOf(a) < speedupOf(b);
               });
-    return runs[pairs / 2];
+    MixResult median = runs[kPairs / 2];
+    median.pairSpeedups = std::move(speedups);
+    return median;
 }
 
 } // namespace
@@ -194,16 +203,14 @@ main(int argc, char **argv)
                      "Hits", "Matched tokens"});
         w.beginObject().field("path", name).key("mixes").beginArray();
         for (const std::size_t percent : {0u, 50u, 90u}) {
-            const bool gated = ref && percent == 90;
             const MixResult m =
-                measureMix(cfg, weights, path, requests, percent, decode,
-                           gated ? kGatePairs : 1);
+                measureMix(cfg, weights, path, requests, percent, decode);
             const double speedup = speedupOf(m);
             if (percent == 0 && m.hits != 0)
                 fail("0% mix took prefix hits");
             if (percent > 0 && m.hits == 0)
                 fail("shared mix took no prefix hits");
-            if (gated)
+            if (ref && percent == 90)
                 ref_ratio_90 = speedup;
             table.addRow({std::to_string(percent),
                           commaString(m.ttftOff * 1e3, 2),
@@ -217,7 +224,11 @@ main(int argc, char **argv)
                 .field("shared_percent", m.percent)
                 .field("ttft_p50_off_seconds", m.ttftOff)
                 .field("ttft_p50_on_seconds", m.ttftOn)
-                .field("ttft_p50_speedup", speedup)
+                .field("ttft_p50_speedup", speedup);
+            w.key("ttft_p50_speedup_pairs").beginArray();
+            for (const double pair : m.pairSpeedups)
+                w.value(pair);
+            w.endArray()
                 .field("tokens_per_second_off", m.tpsOff)
                 .field("tokens_per_second_on", m.tpsOn)
                 .field("prefix_hits", m.hits)
@@ -229,11 +240,12 @@ main(int argc, char **argv)
         table.print();
     }
     w.endArray();
+    w.field("pairs_per_mix", kPairs);
     w.field("ttft_p50_speedup_reference_90", ref_ratio_90);
     w.endObject();
 
     // Shared prefill amortised across the fleet must cut median TTFT
-    // by at least 1.5x at the 90% mix (median of kGatePairs pairs).
+    // by at least 1.5x at the 90% mix (median of kPairs pairs).
     if (ref_ratio_90 < 1.5) {
         std::fprintf(stderr,
                      "FATAL: 90%% shared mix TTFT speedup %.2fx < "

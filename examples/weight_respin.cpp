@@ -67,7 +67,9 @@ main()
                 plan_v2.drcClean() ? "DRC clean" : "VIOLATIONS");
 
     // The re-wired neurons compute the NEW model exactly.
-    HardwiredNeuron v2_neuron(plan_v2.topologies()[0]);
+    const HnArray v2_row(tmpl, plan_v2.topologies()[0].recoverWeights(), 1,
+                         cols);
+    const HardwiredNeuron v2_neuron = v2_row.neuron(0);
     std::vector<std::int64_t> x(cols);
     std::int64_t expected = 0;
     for (std::size_t i = 0; i < cols; ++i) {

@@ -100,17 +100,24 @@ done
 echo "== tier-1: the repository benchmark builds and decodes correctly =="
 # perfbench/run.py builds hnbench from src/ and serves each workload for
 # a short run.  A src/ change that breaks hnbench's build, or whose
-# decode disagrees with the benchmark's 1-thread Packed re-decode or
-# with the transcript digest recorded in build-perfbench, fails here.
-for workload in solo_decode batch_decode chat_fleet; do
-    result="$(CARGO_TARGET_DIR=build-perfbench python3 perfbench/run.py \
-        --workload "$workload" --seed 1 --seconds 2 --trace 0 | tail -n 1)"
+# decode disagrees with the benchmark's 1-thread Packed re-decode, with
+# the transcript digest recorded in build-perfbench or with the seed-1
+# lap-0 digest pinned here, fails.  The first line run.py prints is the
+# full report, digest included.
+for pin in solo_decode:0xdc99a8abfaad289c batch_decode:0x3202ad8c6e1e81f9 \
+    chat_fleet:0xb7bcf9333fb967e5; do
+    workload="${pin%%:*}"
+    report="$(CARGO_TARGET_DIR=build-perfbench python3 perfbench/run.py \
+        --workload "$workload" --seed 1 --seconds 2 --trace 0 | sed -n 1p)"
     python3 -c '
 import json, sys
-r = json.loads(sys.argv[2])
-if r["correct"] is not True or r["failed"] != 0:
-    sys.exit("perfbench " + sys.argv[1] + ": " + sys.argv[2])
-' "$workload" "$result"
+r = json.loads(sys.argv[3])
+ok = (r["correct"] is True and r["failed"] == 0
+      and r["checks"]["digest_matches_earlier_runs"] is True)
+if not ok or r["digest"] != sys.argv[2]:
+    sys.exit("perfbench " + sys.argv[1] + " (digest pin " + sys.argv[2]
+             + "): " + sys.argv[3])
+' "$workload" "${pin#*:}" "$report"
 done
 
 echo "== tier-1: warning-free Release build =="

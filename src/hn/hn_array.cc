@@ -1,6 +1,8 @@
 #include "hn/hn_array.hh"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <utility>
 
 #include "common/logging.hh"
@@ -91,7 +93,7 @@ HnArray::HnArray(const SeaOfNeuronsTemplate &tmpl,
                  const std::vector<Fp4> &weights_row_major,
                  std::size_t rows, std::size_t cols,
                  const std::vector<std::uint32_t> &dead_rows)
-    : cols_(cols)
+    : rows_(rows), cols_(cols)
 {
     hnlpu_assert(weights_row_major.size() == rows * cols,
                  "weight matrix size mismatch: ", weights_row_major.size(),
@@ -108,39 +110,53 @@ HnArray::HnArray(const SeaOfNeuronsTemplate &tmpl,
                          "dead rows must be sorted and unique");
             dead_[dead_rows[i]] = 1;
         }
-        deadRowCount_ = dead_rows.size();
     }
 
-    neurons_.reserve(rows);
-    for (std::size_t r = 0; r < rows; ++r) {
-        std::vector<Fp4> row(weights_row_major.begin() + r * cols,
-                             weights_row_major.begin() + (r + 1) * cols);
-        for (const Fp4 &w : row) {
-            if (w.isZero())
-                ++zeroWeights_;
-        }
-        std::string error;
-        auto topo = WireTopology::program(tmpl, row, &error);
-        if (!topo) {
-            hnlpu_fatal("HN array row ", r,
-                        " failed to program: ", error);
-        }
-        neurons_.emplace_back(std::move(*topo));
-    }
-
-    // The Simd kernel's copy of the wiring: each input reads the 2*w
-    // of the region it is wired into, unwired inputs read 0.  Built
-    // after every row is programmed: allocating it before the rows
-    // measured ~8% slower Packed decode on perfbench chat_fleet, a
-    // heap-placement effect (the Packed kernel never reads the image).
+    // Program each row straight from its weights: its histogram,
+    // checked by the capacity rule WireTopology::program applies, and
+    // its image bytes.  A zero weight has no wire and reads 0.
     image_.assign(rows * cols, 0);
+    wires_.resize(rows);
+    codes_.resize(rows);
+    maskOffsets_.assign(rows + 1, 0);
+    const std::size_t words = (cols + 63) / 64;
     const auto &twice = fp4TwiceValueTable();
     for (std::size_t r = 0; r < rows; ++r) {
-        std::int8_t *image_row = image_.data() + r * cols;
+        std::array<std::size_t, kFp4Codes> histogram{};
+        for (std::size_t i = r * cols; i < (r + 1) * cols; ++i) {
+            const std::uint8_t code = weights_row_major[i].code();
+            ++histogram[code];
+            image_[i] = static_cast<std::int8_t>(twice[code]);
+        }
+        std::string error;
+        const auto grounded = tmpl.fitRegions(histogram, &error);
+        if (!grounded)
+            hnlpu_fatal("HN array row ", r, " failed to program: ", error);
+        groundedPorts_ += *grounded;
         for (int code = 0; code < kFp4Codes; ++code) {
-            for (std::uint32_t input : neurons_[r].topology().region(
-                     static_cast<std::uint8_t>(code)))
-                image_row[input] = static_cast<std::int8_t>(twice[code]);
+            if (twice[code] == 0) {
+                zeroWeights_ += histogram[code];
+            } else if (histogram[code] != 0) {
+                wires_[r] += static_cast<std::uint32_t>(histogram[code]);
+                codes_[r] |= std::uint16_t(1u << code);
+            }
+        }
+        totalWires_ += wires_[r];
+        maskOffsets_[r + 1] =
+            maskOffsets_[r] + std::size_t(std::popcount(codes_[r])) * words;
+    }
+
+    // The Packed kernel's stripes: each wire sets its bit in the stripe
+    // of its code, whose rank among the row's codes is its position.
+    masks_.assign(maskOffsets_[rows], 0);
+    for (std::size_t r = 0; r < rows; ++r) {
+        for (std::size_t i = 0; i < cols; ++i) {
+            if (image_[r * cols + i] == 0)
+                continue;
+            const unsigned code = weights_row_major[r * cols + i].code();
+            const unsigned below = codes_[r] & ((1u << code) - 1);
+            masks_[maskOffsets_[r] + std::popcount(below) * words + i / 64] |=
+                std::uint64_t(1) << (i % 64);
         }
     }
 }
@@ -171,7 +187,13 @@ HnArray::gemmSerial(
         scratch.quantized[b].values = activations[b];
         prepareSlot(scratch, b, cols);
     }
-    return evaluateAll(cols, pool, activity);
+    std::vector<std::int64_t> out(rows_ * batch);
+    parallelRows(pool, rows_, activity,
+                 [&](std::size_t begin, std::size_t end,
+                     HnActivity *local) {
+        evaluateRows(cols, begin, end, out.data() + begin * batch, local);
+    });
+    return out;
 }
 
 HnColumns
@@ -240,27 +262,13 @@ HnArray::columnsView(HnScratch &scratch, std::size_t count,
     return cols;
 }
 
-std::vector<std::int64_t>
-HnArray::evaluateAll(const HnColumns &cols, ThreadPool *pool,
-                     HnActivity *activity) const
-{
-    std::vector<std::int64_t> out(neurons_.size() * cols.count);
-    parallelRows(pool, neurons_.size(), activity,
-                 [&](std::size_t begin, std::size_t end,
-                     HnActivity *local) {
-        evaluateRows(cols, begin, end, out.data() + begin * cols.count,
-                     local);
-    });
-    return out;
-}
-
 void
 HnArray::evaluateRows(const HnColumns &cols, std::size_t begin,
                       std::size_t end, std::int64_t *out,
                       HnActivity *activity) const
 {
-    hnlpu_assert(begin <= end && end <= neurons_.size(), "rows [", begin,
-                 ", ", end, ") outside ", neurons_.size());
+    hnlpu_assert(begin <= end && end <= rows_, "rows [", begin, ", ", end,
+                 ") outside ", rows_);
     hnlpu_assert(cols.kernel != HnKernel::Simd || cols.dim == cols_,
                  "columns of ", cols.dim, " values for an array of ",
                  cols_, " cols");
@@ -273,24 +281,20 @@ HnArray::evaluateRows(const HnColumns &cols, std::size_t begin,
             std::fill(row_out, row_out + batch, 0);
         } else if (cols.kernel == HnKernel::Scalar) {
             for (std::size_t b = 0; b < batch; ++b) {
-                row_out[b] = neurons_[r].computeSerial(
+                row_out[b] = neuron(r).computeSerial(
                     cols.values[b].values, cols.width, activity);
             }
         } else if (cols.kernel == HnKernel::Simd) {
             hnDotBatch(image_.data() + r * cols_, cols_, cols.narrowed,
                        batch, cols.width, row_out);
-            if (activity) {
-                std::size_t region_bits = 0;
-                for (const RegionMask &region : neurons_[r].regionMasks())
-                    region_bits += region.bits;
-                neurons_[r].addActivity(cols.width, batch, region_bits,
-                                        activity);
-            }
+            if (activity)
+                neuron(r).addActivity(cols.width, batch, activity);
         } else {
+            const HardwiredNeuron row = neuron(r);
             for (std::size_t b0 = 0; b0 < batch; b0 += kHnBatchChunk) {
                 const std::size_t n = std::min(kHnBatchChunk, batch - b0);
-                neurons_[r].computePackedBatch(cols.planes + b0, n,
-                                               row_out + b0, activity);
+                row.computePackedBatch(cols.planes + b0, n, row_out + b0,
+                                       activity);
             }
         }
     }
@@ -301,8 +305,8 @@ HnArray::evaluateRowsReal(const HnColumns &cols, std::size_t begin,
                           std::size_t end, double *out, std::size_t stride,
                           HnActivity *activity) const
 {
-    hnlpu_assert(stride >= neurons_.size(), "output stride ", stride,
-                 " below ", neurons_.size(), " rows");
+    hnlpu_assert(stride >= rows_, "output stride ", stride, " below ",
+                 rows_, " rows");
     // Blocks of kRowBlock rows by kHnBatchChunk columns (the width of
     // one batched kernel call) are evaluated into a stack buffer and
     // dequantised from there.
@@ -332,11 +336,9 @@ HnArray::evaluateRowsReal(const HnColumns &cols, std::size_t begin,
 std::vector<std::int64_t>
 HnArray::gemvReference(const std::vector<std::int64_t> &activations) const
 {
-    std::vector<std::int64_t> out(neurons_.size());
-    for (std::size_t r = 0; r < neurons_.size(); ++r) {
-        out[r] = rowDead(r) ? 0
-                            : neurons_[r].computeReference(activations);
-    }
+    std::vector<std::int64_t> out(rows_);
+    for (std::size_t r = 0; r < rows_; ++r)
+        out[r] = rowDead(r) ? 0 : neuron(r).computeReference(activations);
     return out;
 }
 
@@ -371,7 +373,7 @@ HnArray::gemmReal(const std::vector<std::vector<double>> &activations,
     }
     const HnColumns cols =
         prepareColumns(scratch, batch, cols_, width, kernel, pool);
-    const std::size_t rows = neurons_.size();
+    const std::size_t rows = rows_;
     scratch.values.resize(rows * batch);
     double *const flat = scratch.values.data();
     parallelRows(pool, rows, activity,
@@ -386,25 +388,24 @@ HnArray::gemmReal(const std::vector<std::vector<double>> &activations,
     return out;
 }
 
-const HardwiredNeuron &
+HardwiredNeuron
 HnArray::neuron(std::size_t row) const
 {
-    hnlpu_assert(row < neurons_.size(), "neuron row out of range");
-    return neurons_[row];
+    hnlpu_assert(row < rows_, "neuron row out of range");
+    return HardwiredNeuron(image_.data() + row * cols_, cols_, wires_[row],
+                           codes_[row], masks_.data() + maskOffsets_[row]);
 }
 
 HnArrayStats
 HnArray::stats() const
 {
     HnArrayStats s;
-    s.rows = neurons_.size();
+    s.rows = rows_;
     s.cols = cols_;
+    s.totalWires = totalWires_;
+    s.groundedPorts = groundedPorts_;
     s.zeroWeights = zeroWeights_;
-    s.deadRows = deadRowCount_;
-    for (const auto &neuron : neurons_) {
-        s.totalWires += neuron.topology().wireCount();
-        s.groundedPorts += neuron.topology().groundedPorts();
-    }
+    s.deadRows = std::size_t(std::count(dead_.begin(), dead_.end(), 1));
     return s;
 }
 

@@ -9,8 +9,10 @@
  *  - bit-exact integer GEMM on quantised activation columns (bit-serial
  *    path, one weight traversal for every column, and a reference GEMV,
  *    which must agree); a GEMV is a GEMM of one column;
- *  - an int8 image of every row's 2*w, built once at programming time
- *    from the wires, which the Simd kernel's dot product reads;
+ *  - one wiring, programmed straight from the weights into a fixed set
+ *    of flat buffers whatever the row count: the int8 2*w image the
+ *    Simd dot product reads, per-row wire counts and code sets, and
+ *    the Packed kernel's mask stripes; neuron(r) views one row;
  *  - a real-valued GEMM that quantises activations, runs the integer
  *    path and dequantises;
  *  - the two halves every GEMM is made of, for callers that schedule
@@ -110,7 +112,7 @@ class HnArray
             std::size_t cols,
             const std::vector<std::uint32_t> &dead_rows = {});
 
-    std::size_t rows() const { return neurons_.size(); }
+    std::size_t rows() const { return rows_; }
     std::size_t cols() const { return cols_; }
 
     /** True when @p row is a dead (unrepaired) neuron. */
@@ -133,20 +135,15 @@ class HnArray
      * element, so bit-exact vs serial); per-worker activity counters
      * are summed into @p activity.
      *
-     * @param kernel HnKernel::Packed (default) serialises each column
-     *        once into per-column PackedPlanes and runs each neuron
-     *        row's region-mask traversal over all columns at once
-     *        (chunks of kHnBatchChunk, HardwiredNeuron::computePackedBatch),
-     *        amortising mask loads and region-walk overhead across the
-     *        batch; HnKernel::Simd narrows each column to int16 and
-     *        takes each row's exact integer dot product with the
-     *        array's 2*w image (hnDotBatch, hn/hn_simd.hh), running
-     *        Packed on columns wider than kHnDotMaxWidth bits;
-     *        HnKernel::Scalar is the original per-row, per-column
-     *        emulation.  Outputs and activity counters are
-     *        bit-identical across all three.  The column buffers are
-     *        allocated per call; engines run their projections through
-     *        Linear, which reuses the engine's scratch.
+     * @param kernel the kernel the rows run (hn_kernel.hh): Packed
+     *        (default) runs each row's mask traversal over
+     *        kHnBatchChunk-column chunks, Simd each row's dot product
+     *        with the 2*w image (Packed above kHnDotMaxWidth bits),
+     *        Scalar the per-row, per-column emulation.  Outputs and
+     *        activity counters are bit-identical across all three.
+     *        The column buffers are allocated per call; engines run
+     *        their projections through Linear, which reuses the
+     *        engine's scratch.
      */
     std::vector<std::int64_t> gemmSerial(
         const std::vector<std::vector<std::int64_t>> &activations,
@@ -216,7 +213,8 @@ class HnArray
         ThreadPool *pool = nullptr,
         HnKernel kernel = HnKernel::Packed) const;
 
-    const HardwiredNeuron &neuron(std::size_t row) const;
+    /** A view of row @p row's wiring; valid while this array lives. */
+    HardwiredNeuron neuron(std::size_t row) const;
 
     HnArrayStats stats() const;
 
@@ -237,23 +235,24 @@ class HnArray
                                  std::size_t dim, unsigned width,
                                  HnKernel kernel);
 
-    /**
-     * Every row against @p cols on @p pool: the flat rows x cols.count
-     * result of gemmSerial.
-     */
-    std::vector<std::int64_t> evaluateAll(const HnColumns &cols,
-                                          ThreadPool *pool,
-                                          HnActivity *activity) const;
-
+    std::size_t rows_ = 0;
     std::size_t cols_ = 0;
     std::size_t zeroWeights_ = 0;
-    std::size_t deadRowCount_ = 0;
-    std::vector<HardwiredNeuron> neurons_;
-    /**
-     * Row-major rows x cols 2*w image of the wiring, in [-12, 12]: the
-     * weights of the Simd kernel's dot product.
-     */
+    std::size_t totalWires_ = 0;
+    std::size_t groundedPorts_ = 0;
+    /** Row-major rows x cols 2*w, in [-12, 12]; 0 where unwired. */
     std::vector<std::int8_t> image_;
+    /** Per row: its wire count, the bits of all its regions. */
+    std::vector<std::uint32_t> wires_;
+    /** Per row: the set of FP4 codes it wires, bit c for code c. */
+    std::vector<std::uint16_t> codes_;
+    /**
+     * The Packed kernel's mask stripes of every row: row r's start at
+     * maskOffsets_[r], one ceil(cols / 64)-word stripe per code in
+     * codes_[r], in ascending code order.
+     */
+    std::vector<std::uint64_t> masks_;
+    std::vector<std::size_t> maskOffsets_;
     /** Per-row dead mask; empty when no row is dead. */
     std::vector<std::uint8_t> dead_;
 };

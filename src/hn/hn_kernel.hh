@@ -10,12 +10,12 @@
  *    time);
  *  - Packed: the word-parallel model -- serialise each activation
  *    column ONCE per GEMM into PackedPlanes (64 lanes per uint64_t
- *    word), compile each region's input list into mask words at
- *    programming time, and reduce each (plane, region) pair with
- *    popcount(plane & mask) for every column in one mask traversal;
+ *    word) and reduce each (plane, region) pair with
+ *    popcount(plane & mask) against the row's mask stripes, compiled
+ *    at programming time, for every column in one mask traversal;
  *  - Simd: the row's exact integer directly -- narrow each column to
  *    int16 once per GEMM and take a plain dot product with the array's
- *    int8 image of 2*w, built at programming time; one C++ loop,
+ *    int8 2*w image, the wiring every kernel's row reads; one C++ loop,
  *    compiled per instruction-set tier and dispatched at runtime
  *    (src/hn/hn_simd.{hh,cc}).  Columns wider than 16 bits run Packed.
  *

@@ -1,5 +1,6 @@
 #include "hn/hn_neuron.hh"
 
+#include <array>
 #include <bit>
 
 #include "arith/bitserial.hh"
@@ -8,107 +9,64 @@
 
 namespace hnlpu {
 
-HardwiredNeuron::HardwiredNeuron(WireTopology topology)
-    : topology_(std::move(topology))
+namespace {
+
+/** Largest |2*w| of an FP4 (e2m1) weight: 2 * 6.0. */
+constexpr int kMaxTwice = 12;
+
+bool
+hasCode(std::uint16_t codes, int code)
 {
-    // Compile each non-empty region's input list into a packed mask
-    // stripe.  This is the metalization-time step of the Packed kernel:
-    // region membership is frozen with the wires, so the masks are
-    // immutable after construction and shared by every evaluation.
-    wordsPerPlane_ = (topology_.tmpl().inputCount + 63) / 64;
-    for (int code = 0; code < kFp4Codes; ++code) {
-        const auto &region =
-            topology_.region(static_cast<std::uint8_t>(code));
-        if (region.empty())
-            continue;
-        RegionMask mask;
-        mask.code = static_cast<std::uint8_t>(code);
-        mask.bits = static_cast<std::uint32_t>(region.size());
-        mask.wordOffset = maskWords_.size();
-        maskWords_.resize(maskWords_.size() + wordsPerPlane_, 0);
-        std::uint64_t *words = maskWords_.data() + mask.wordOffset;
-        for (std::uint32_t input : region)
-            words[input / 64] |= std::uint64_t(1) << (input % 64);
-        regionMasks_.push_back(mask);
-    }
+    return (codes >> code) & 1;
 }
+
+} // namespace
 
 std::int64_t
 HardwiredNeuron::computeSerial(
     const std::vector<std::int64_t> &activations, unsigned width,
     HnActivity *activity) const
 {
-    const auto &tmpl = topology_.tmpl();
-    hnlpu_assert(activations.size() == tmpl.inputCount,
+    hnlpu_assert(activations.size() == inputs_,
                  "activation count mismatch");
 
     BitSerializer serializer(activations, width);
+    const auto &twice = fp4TwiceValueTable();
 
     // One serial accumulator per FP4 value region.
     std::vector<SerialAccumulator> accumulators(kFp4Codes);
-    std::size_t popcount_bits = 0;
 
     for (unsigned bit = 0; bit < width; ++bit) {
         const bool sign_plane = serializer.isSignPlane(bit);
         const std::vector<bool> plane = serializer.plane(bit);
+        // Each region's popcount of this plane, bucketed by 2*w: every
+        // non-zero 2*w names exactly one code, and unwired inputs
+        // (2*w = 0) land in no region.
+        std::array<std::int64_t, 2 * kMaxTwice + 1> counts{};
+        for (std::size_t i = 0; i < inputs_; ++i)
+            counts[image_[i] + kMaxTwice] += plane[i] ? 1 : 0;
         for (int code = 0; code < kFp4Codes; ++code) {
-            const auto &region = topology_.region(
-                static_cast<std::uint8_t>(code));
-            if (region.empty())
-                continue;
-            std::int64_t count = 0;
-            for (std::uint32_t input : region)
-                count += plane[input] ? 1 : 0;
-            popcount_bits += region.size();
-            accumulators[code].addPlane(bit, sign_plane, count);
+            if (hasCode(codes_, code)) {
+                accumulators[code].addPlane(
+                    bit, sign_plane, counts[twice[code] + kMaxTwice]);
+            }
         }
     }
 
     // Constant multiply per region (2*w, exact integer) then reduce the
     // sixteen products with a CSA tree.
-    const auto &twice = fp4TwiceValueTable();
     std::vector<std::int64_t> products;
     products.reserve(kFp4Codes);
-    std::size_t multiplies = 0;
     for (int code = 0; code < kFp4Codes; ++code) {
-        if (topology_.region(static_cast<std::uint8_t>(code)).empty())
-            continue;
-        products.push_back(accumulators[code].total() * twice[code]);
-        ++multiplies;
+        if (hasCode(codes_, code))
+            products.push_back(accumulators[code].total() * twice[code]);
     }
-    const std::int64_t result = csaReduce(products);
-
-    if (activity) {
-        const CsaTreeShape tree = csaTreeShape(products.size());
-        activity->cycles += bitSerialCycles(width, tree.depth);
-        activity->popcountBitOps += popcount_bits;
-        activity->multiplyOps += multiplies;
-        activity->treeAddOps += tree.compressorCount + 1;
-    }
-    return result;
-}
-
-void
-HardwiredNeuron::checkBatch(const PackedPlanes *planes,
-                            std::size_t batch) const
-{
-    hnlpu_assert(batch >= 1 && batch <= kHnBatchChunk,
-                 "batch ", batch, " outside [1, ", kHnBatchChunk, "]");
-    for (std::size_t b = 0; b < batch; ++b) {
-        hnlpu_assert(planes[b].laneCount() ==
-                         topology_.tmpl().inputCount,
-                     "activation count mismatch in batch column ", b);
-        hnlpu_assert(planes[b].wordsPerPlane() == wordsPerPlane_,
-                     "packed plane geometry mismatch in batch column ",
-                     b);
-        hnlpu_assert(planes[b].width() == planes[0].width(),
-                     "batch columns must share one width");
-    }
+    addActivity(width, 1, activity);
+    return csaReduce(products);
 }
 
 void
 HardwiredNeuron::addActivity(unsigned width, std::size_t columns,
-                             std::size_t region_bits,
                              HnActivity *activity) const
 {
     if (!activity)
@@ -118,19 +76,31 @@ HardwiredNeuron::addActivity(unsigned width, std::size_t columns,
     // emulation, so the shared mask loads and the Simd kernel's dot
     // product never change them.  A batch is exactly `columns`
     // single-column evaluations' worth of logical work.
-    const CsaTreeShape tree = csaTreeShape(regionMasks_.size());
+    const std::size_t regions = std::popcount(codes_);
+    const CsaTreeShape tree = csaTreeShape(regions);
     activity->cycles += columns * bitSerialCycles(width, tree.depth);
-    activity->popcountBitOps += columns * width * region_bits;
-    activity->multiplyOps += columns * regionMasks_.size();
+    activity->popcountBitOps += columns * width * wires_;
+    activity->multiplyOps += columns * regions;
     activity->treeAddOps += columns * (tree.compressorCount + 1);
 }
 
-void
+// Pinned to a cache line: where the linker happens to place this
+// function moved perfbench chat_fleet's Packed decode by up to 30%
+// (start at 0 mod 64 fast, 16 mod 64 slowest on a Xeon host) whenever
+// code elsewhere in the library changed size.
+__attribute__((aligned(64))) void
 HardwiredNeuron::computePackedBatch(const PackedPlanes *planes,
                                     std::size_t batch, std::int64_t *out,
                                     HnActivity *activity) const
 {
-    checkBatch(planes, batch);
+    hnlpu_assert(batch >= 1 && batch <= kHnBatchChunk,
+                 "batch ", batch, " outside [1, ", kHnBatchChunk, "]");
+    for (std::size_t b = 0; b < batch; ++b) {
+        hnlpu_assert(planes[b].laneCount() == inputs_,
+                     "activation count mismatch in batch column ", b);
+        hnlpu_assert(planes[b].width() == planes[0].width(),
+                     "batch columns must share one width");
+    }
     const unsigned width = planes[0].width();
 
     // Per-(column, bit) plane base pointers, hoisted once per neuron
@@ -142,10 +112,9 @@ HardwiredNeuron::computePackedBatch(const PackedPlanes *planes,
     }
 
     const auto &twice = fp4TwiceValueTable();
-    const std::size_t words = wordsPerPlane_;
+    const std::size_t words = planes[0].wordsPerPlane();
     for (std::size_t b = 0; b < batch; ++b)
         out[b] = 0;
-    std::size_t region_bits = 0;
 
     // Region sum of a column: sum_bit (+-2^bit) * popcount_bit, the
     // identical int64 additions computeSerial's SerialAccumulator
@@ -161,10 +130,11 @@ HardwiredNeuron::computePackedBatch(const PackedPlanes *planes,
         const std::int64_t weight = std::int64_t(1) << bit;
         return bit + 1 == width ? -weight : weight;
     };
-    for (const RegionMask &region : regionMasks_) {
-        const std::uint64_t *mask = maskWords_.data() + region.wordOffset;
-        const std::int64_t twice_w = twice[region.code];
-        region_bits += region.bits;
+    const std::uint64_t *mask = masks_;
+    for (int code = 0; code < kFp4Codes; ++code) {
+        if (!hasCode(codes_, code))
+            continue;
+        const std::int64_t twice_w = twice[code];
         std::size_t b = 0;
         // Four-column groups: each mask word is loaded once and ANDed
         // into four independent popcount chains, so the superscalar
@@ -207,26 +177,21 @@ HardwiredNeuron::computePackedBatch(const PackedPlanes *planes,
             }
             out[b] += sum * twice_w;
         }
+        mask += words;
     }
 
-    addActivity(width, batch, region_bits, activity);
+    addActivity(width, batch, activity);
 }
 
 std::int64_t
 HardwiredNeuron::computeReference(
     const std::vector<std::int64_t> &activations) const
 {
-    const auto &tmpl = topology_.tmpl();
-    hnlpu_assert(activations.size() == tmpl.inputCount,
+    hnlpu_assert(activations.size() == inputs_,
                  "activation count mismatch");
-    const auto &twice = fp4TwiceValueTable();
     std::int64_t total = 0;
-    for (int code = 0; code < kFp4Codes; ++code) {
-        const auto &region = topology_.region(
-            static_cast<std::uint8_t>(code));
-        for (std::uint32_t input : region)
-            total += twice[code] * activations[input];
-    }
+    for (std::size_t i = 0; i < inputs_; ++i)
+        total += std::int64_t(image_[i]) * activations[i];
     return total;
 }
 

@@ -18,6 +18,9 @@
  * Because that integer is all a row produces, HnArray's Simd kernel
  * computes it as a plain dot product (hn/hn_simd.hh) and takes its
  * HnActivity from addActivity, which depends only on the wiring.
+ *
+ * A HardwiredNeuron is a view of one row of the wiring an HnArray owns
+ * (hn_array.hh); a standalone neuron is the row of a one-row array.
  */
 
 #ifndef HNLPU_HN_HN_NEURON_HH
@@ -28,7 +31,6 @@
 
 #include "arith/bitserial.hh"
 #include "arith/fp4.hh"
-#include "hn/wire_topology.hh"
 
 namespace hnlpu {
 
@@ -63,29 +65,36 @@ struct HnActivity
 };
 
 /**
- * One non-empty FP4 region compiled to packed mask words.
+ * One Hardwired-Neuron: a trivially copyable view of one HnArray row,
+ * which owns no memory and must not outlive its array.
  *
- * The mask words live in a single per-neuron buffer (one
- * ceil(inputCount/64)-word stripe per non-empty code, in ascending code
- * order -- the same order computeSerial() visits regions, so the CSA
- * operand order and hence the bit-exact result are identical).
+ * image[i] is the 2*w of the region input i is wired into, 0 when it
+ * is unwired; each non-zero 2*w names exactly one FP4 code.  The
+ * Packed kernel reads the same wiring as one ceil(inputs/64)-word mask
+ * stripe per wired code, in ascending code order -- the order
+ * computeSerial() visits regions, so the CSA operand order is the
+ * same.
  */
-struct RegionMask
-{
-    std::uint8_t code = 0;    //!< FP4 code of this region
-    std::uint32_t bits = 0;   //!< logical inputs wired into the region
-    std::size_t wordOffset = 0; //!< stripe start in the mask buffer
-};
-
-/** One Hardwired-Neuron programmed with a wire topology. */
 class HardwiredNeuron
 {
   public:
-    explicit HardwiredNeuron(WireTopology topology);
+    /**
+     * View @p inputs 2*w bytes at @p image with @p wires wires, the set
+     * @p codes of wired FP4 codes (bit c for code c) and their stripes
+     * at @p masks.
+     */
+    HardwiredNeuron(const std::int8_t *image, std::size_t inputs,
+                    std::uint32_t wires, std::uint16_t codes,
+                    const std::uint64_t *masks)
+        : image_(image), masks_(masks), inputs_(inputs), wires_(wires),
+          codes_(codes)
+    {
+    }
 
     /**
      * Evaluate the neuron bit-serially (Scalar kernel: per-call
-     * re-serialisation, element-wise region walk).
+     * re-serialisation, each plane's bits bucketed by the region
+     * image[i] names).
      * @param activations integer activations (one per template input)
      * @param width activation bit width (serial cycle count driver)
      * @param activity optional activity counter accumulation
@@ -126,37 +135,21 @@ class HardwiredNeuron
     std::int64_t computeReference(
         const std::vector<std::int64_t> &activations) const;
 
-    const WireTopology &topology() const { return topology_; }
-
-    /** Compiled masks of the non-empty regions, ascending code order. */
-    const std::vector<RegionMask> &regionMasks() const
-    {
-        return regionMasks_;
-    }
-
     /**
      * Add @p columns single-column evaluations' worth of logical
      * activity at @p width to @p activity (no-op when null): what
      * computeSerial counts, which depends on the wiring and not on the
-     * data.  @p region_bits is the sum of regionMasks_[r].bits, which
-     * the Packed kernel totals in its region loop: a member would grow
-     * the object, and a separate loop here costs measurable time per
-     * row.
+     * data.
      */
     void addActivity(unsigned width, std::size_t columns,
-                     std::size_t region_bits, HnActivity *activity) const;
+                     HnActivity *activity) const;
 
   private:
-    /** Assert the batch-kernel contract on @p planes / @p batch. */
-    void checkBatch(const PackedPlanes *planes,
-                    std::size_t batch) const;
-
-    WireTopology topology_;
-    /** Packed mask stripes; see RegionMask. */
-    std::vector<std::uint64_t> maskWords_;
-    std::vector<RegionMask> regionMasks_;
-    /** ceil(inputCount / 64): words per mask stripe / bit plane. */
-    std::size_t wordsPerPlane_ = 0;
+    const std::int8_t *image_;
+    const std::uint64_t *masks_;
+    std::size_t inputs_;
+    std::uint32_t wires_;
+    std::uint16_t codes_;
 };
 
 } // namespace hnlpu

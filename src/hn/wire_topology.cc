@@ -24,6 +24,37 @@ SeaOfNeuronsTemplate::totalPorts() const
     return totalSlices() * portsPerSlice;
 }
 
+std::size_t
+SeaOfNeuronsTemplate::slicesFor(std::size_t wires) const
+{
+    // Every non-empty region needs at least one slice.
+    return wires == 0 ? 0 : ceilDiv(wires, portsPerSlice);
+}
+
+std::optional<std::size_t>
+SeaOfNeuronsTemplate::fitRegions(
+    const std::array<std::size_t, kFp4Codes> &histogram,
+    std::string *error) const
+{
+    std::size_t used_slices = 0, wires = 0;
+    for (int code = 0; code < kFp4Codes; ++code) {
+        if (Fp4::fromCode(static_cast<std::uint8_t>(code)).isZero())
+            continue;
+        used_slices += slicesFor(histogram[code]);
+        wires += histogram[code];
+    }
+    if (used_slices > totalSlices()) {
+        if (error) {
+            *error = "weight histogram needs " +
+                     std::to_string(used_slices) + " slices but only " +
+                     std::to_string(totalSlices()) +
+                     " are prefabricated";
+        }
+        return std::nullopt;
+    }
+    return used_slices * portsPerSlice - wires;
+}
+
 std::optional<WireTopology>
 WireTopology::program(const SeaOfNeuronsTemplate &tmpl,
                       const std::vector<Fp4> &weights, std::string *error)
@@ -51,28 +82,10 @@ WireTopology::program(const SeaOfNeuronsTemplate &tmpl,
             static_cast<std::uint32_t>(i));
     }
 
-    // Allocate slices region by region and check the prefabricated
-    // budget.  Every non-empty region needs at least one slice.
-    std::size_t used_slices = 0;
-    for (int code = 0; code < kFp4Codes; ++code) {
-        const std::size_t wires = topo.regions_[code].size();
-        const std::size_t slices =
-            wires == 0 ? 0 : ceilDiv(wires, tmpl.portsPerSlice);
-        topo.slices_[code] = slices;
-        used_slices += slices;
-    }
-    if (used_slices > tmpl.totalSlices()) {
-        if (error) {
-            *error = "weight histogram needs " +
-                     std::to_string(used_slices) + " slices but only " +
-                     std::to_string(tmpl.totalSlices()) +
-                     " are prefabricated";
-        }
+    const auto grounded = tmpl.fitRegions(topo.histogram_, error);
+    if (!grounded)
         return std::nullopt;
-    }
-
-    topo.groundedPorts_ = used_slices * tmpl.portsPerSlice -
-                          topo.wireCount();
+    topo.groundedPorts_ = *grounded;
     return topo;
 }
 
@@ -87,7 +100,7 @@ std::size_t
 WireTopology::regionSlices(std::uint8_t code) const
 {
     hnlpu_assert(code < kFp4Codes, "region code out of range");
-    return slices_[code];
+    return tmpl_.slicesFor(regions_[code].size());
 }
 
 std::size_t

@@ -14,7 +14,12 @@
  *    code, the list of input indices routed into that region, plus the
  *    grounded (unused) port count;
  *  - programming fails loudly if a region overflows its prefabricated
- *    capacity, mirroring a DRC failure in the metal fill flow.
+ *    capacity (SeaOfNeuronsTemplate::fitRegions), mirroring a DRC
+ *    failure in the metal fill flow.
+ *
+ * hncc and the gate-level datapath read WireTopology's input lists;
+ * HnArray programs its rows into its own flat wiring under the same
+ * capacity rule.
  */
 
 #ifndef HNLPU_HN_WIRE_TOPOLOGY_HH
@@ -49,6 +54,20 @@ struct SeaOfNeuronsTemplate
     std::size_t totalSlices() const;
     /** Total ports prefabricated for this neuron. */
     std::size_t totalPorts() const;
+
+    /** Slices a value region of @p wires wires takes (0 when empty). */
+    std::size_t slicesFor(std::size_t wires) const;
+
+    /**
+     * The capacity rule of programming a weight @p histogram: each
+     * non-zero code's region takes slicesFor() its count, at most
+     * totalSlices() in all (zero weights need no wire).
+     * @return the ports left grounded, or nullopt with @p error set
+     *         when the regions do not fit
+     */
+    std::optional<std::size_t>
+    fitRegions(const std::array<std::size_t, kFp4Codes> &histogram,
+               std::string *error = nullptr) const;
 };
 
 /** The programmed routing of one neuron's inputs into value regions. */
@@ -94,7 +113,6 @@ class WireTopology
   private:
     SeaOfNeuronsTemplate tmpl_;
     std::array<std::vector<std::uint32_t>, kFp4Codes> regions_;
-    std::array<std::size_t, kFp4Codes> slices_{};
     std::array<std::size_t, kFp4Codes> histogram_{};
     std::size_t groundedPorts_ = 0;
 };

@@ -8,7 +8,8 @@
  * batch 8 (hardwired path, Simd kernel, 4 threads) must, after warmup,
  * make the same number of allocations every step, and no more than the
  * bounds below.  Zero-allocation decode work tightens the bounds
- * towards 0.
+ * towards 0.  Programming an HnArray must make a fixed number of
+ * allocations whatever its row count.
  */
 
 #include <gtest/gtest.h>
@@ -19,6 +20,7 @@
 #include <new>
 #include <vector>
 
+#include "hn/hn_array.hh"
 #include "model/model_zoo.hh"
 #include "xformer/engine.hh"
 #include "xformer/weights.hh"
@@ -156,6 +158,36 @@ expectSteadyAndBounded(std::size_t batch, std::size_t bound)
     EXPECT_LE(counts.front(), bound) << "batch " << batch;
     std::printf("batch %zu: %zu heap allocations per decode step\n",
                 batch, counts.front());
+}
+
+/**
+ * Heap allocations made by programming an HnArray of @p rows rows of
+ * 256 columns (its weights are built before counting starts).
+ */
+std::size_t
+arrayAllocations(std::size_t rows)
+{
+    constexpr std::size_t kCols = 256;
+    SeaOfNeuronsTemplate tmpl;
+    tmpl.inputCount = kCols;
+    tmpl.portsPerSlice = 16;
+    tmpl.slackFactor = 4.0;
+    const std::vector<Fp4> weights = syntheticFp4Weights(rows * kCols, 11);
+    const std::size_t before = g_allocations.load();
+    {
+        const HnArray array(tmpl, weights, rows, kCols);
+    }
+    return g_allocations.load() - before;
+}
+
+TEST(Alloc, ArrayProgrammingAllocationsDoNotGrowWithRows)
+{
+    const std::size_t small = arrayAllocations(64);
+    const std::size_t large = arrayAllocations(1024);
+    EXPECT_EQ(small, large);
+    std::printf("HnArray programming: %zu heap allocations at 64 rows, "
+                "%zu at 1024\n",
+                small, large);
 }
 
 TEST(Alloc, DecodeStepAllocationsAreSteadyAndBoundedAtBatch1)

@@ -178,7 +178,8 @@ TEST_P(DatapathEquivalence, CircuitMatchesFunctionalModel)
 {
     const auto [fan_in, width] = GetParam();
     WireTopology topo = makeTopology(fan_in, fan_in * 7 + width);
-    HardwiredNeuron functional(topo);
+    const HnArray row(topo.tmpl(), topo.recoverWeights(), 1, fan_in);
+    const HardwiredNeuron functional = row.neuron(0);
     HnDatapath circuit(topo, width);
 
     Rng rng(fan_in + width);
@@ -203,7 +204,8 @@ TEST(DatapathTest, ExtremeActivationValues)
 {
     const unsigned width = 8;
     WireTopology topo = makeTopology(32, 5);
-    HardwiredNeuron functional(topo);
+    const HnArray row(topo.tmpl(), topo.recoverWeights(), 1, 32);
+    const HardwiredNeuron functional = row.neuron(0);
     HnDatapath circuit(topo, width);
 
     // All max-negative, all max-positive, alternating.
@@ -221,7 +223,8 @@ TEST(DatapathTest, ExtremeActivationValues)
 TEST(DatapathTest, ReusableAcrossEvaluations)
 {
     WireTopology topo = makeTopology(24, 9);
-    HardwiredNeuron functional(topo);
+    const HnArray row(topo.tmpl(), topo.recoverWeights(), 1, 24);
+    const HardwiredNeuron functional = row.neuron(0);
     HnDatapath circuit(topo, 8);
     Rng rng(1);
     for (int trial = 0; trial < 5; ++trial) {

@@ -8,11 +8,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <type_traits>
 
 #include "common/rng.hh"
 #include "hn/ce_neuron.hh"
 #include "hn/hn_array.hh"
 #include "hn/hn_neuron.hh"
+#include "hn/hn_simd.hh"
 #include "hn/wire_topology.hh"
 
 namespace hnlpu {
@@ -93,14 +95,17 @@ TEST(WireTopology, GroundedPortsAccounting)
     EXPECT_EQ(topo->groundedPorts(), 6u);
 }
 
+// A neuron is a view of one row of its array's wiring and owns no
+// memory.
+static_assert(std::is_trivially_copyable_v<HardwiredNeuron>);
+
 TEST(HardwiredNeuron, MatchesReferenceSmall)
 {
     auto tmpl = makeTemplate(4);
     std::vector<Fp4> weights{Fp4::quantize(1.0), Fp4::quantize(1.0),
                              Fp4::quantize(3.0), Fp4::quantize(3.0)};
-    auto topo = WireTopology::program(tmpl, weights);
-    ASSERT_TRUE(topo.has_value());
-    HardwiredNeuron hn(std::move(*topo));
+    const HnArray array(tmpl, weights, 1, weights.size());
+    const HardwiredNeuron hn = array.neuron(0);
 
     std::vector<std::int64_t> x{1, 2, 3, 4};
     // a(x1+x2) + c(x3+x4) with a=1, c=3 -> 2*(3 + 21) = 48.
@@ -123,9 +128,8 @@ TEST_P(HnEquivalence, SerialEqualsReferenceEqualsCe)
     for (int trial = 0; trial < 10; ++trial) {
         auto weights = syntheticFp4Weights(fan_in, trial * 977 + fan_in);
         auto tmpl = makeTemplate(fan_in);
-        auto topo = WireTopology::program(tmpl, weights);
-        ASSERT_TRUE(topo.has_value());
-        HardwiredNeuron hn(std::move(*topo));
+        const HnArray array(tmpl, weights, 1, fan_in);
+        const HardwiredNeuron hn = array.neuron(0);
         CellEmbeddedNeuron ce(weights);
 
         std::vector<std::int64_t> x(fan_in);
@@ -149,9 +153,8 @@ TEST(HardwiredNeuron, ActivityCountersPopulate)
 {
     const std::size_t fan_in = 64;
     auto weights = syntheticFp4Weights(fan_in, 5);
-    auto topo = WireTopology::program(makeTemplate(fan_in), weights);
-    ASSERT_TRUE(topo.has_value());
-    HardwiredNeuron hn(std::move(*topo));
+    const HnArray array(makeTemplate(fan_in), weights, 1, fan_in);
+    const HardwiredNeuron hn = array.neuron(0);
 
     std::vector<std::int64_t> x(fan_in, 1);
     HnActivity act;
@@ -175,27 +178,59 @@ TEST(CeNeuron, ActivityCountsOneMultiplierPerNonzeroWeight)
 
 TEST(HnArray, GemvMatchesMatrixMath)
 {
+    // The independent oracle: the reference GEMV and every kernel --
+    // Simd on every tier, and on its Packed fallback at width 24 --
+    // must equal sum_c 2*W[r][c] * x[c] computed from the weight
+    // matrix, not from the wiring every kernel reads, and a dead row
+    // must read 0.
     const std::size_t rows = 12, cols = 33;
+    const std::uint32_t dead_row = 5;
     auto weights = syntheticFp4Weights(rows * cols, 77);
-    HnArray array(makeTemplate(cols), weights, rows, cols);
+    HnArray array(makeTemplate(cols), weights, rows, cols, {dead_row});
 
-    Rng rng(99);
-    std::vector<std::int64_t> x(cols);
-    for (auto &v : x)
-        v = rng.uniformInt(-127, 127);
-
-    auto serial = array.gemvSerial(x, 8);
-    auto ref = array.gemvReference(x);
-    ASSERT_EQ(serial.size(), rows);
-    for (std::size_t r = 0; r < rows; ++r) {
-        std::int64_t expect = 0;
-        for (std::size_t c = 0; c < cols; ++c) {
-            expect += std::int64_t(
-                          weights[r * cols + c].twiceValue()) * x[c];
+    for (unsigned width : {8u, 24u}) {
+        SCOPED_TRACE(width);
+        Rng rng(99 + width);
+        const std::int64_t hi = (std::int64_t(1) << (width - 1)) - 1;
+        std::vector<std::int64_t> x(cols);
+        for (auto &v : x)
+            v = rng.uniformInt(-hi - 1, hi);
+        std::vector<std::int64_t> expect(rows, 0);
+        for (std::size_t r = 0; r < rows; ++r) {
+            for (std::size_t c = 0; c < cols; ++c) {
+                if (r != dead_row)
+                    expect[r] += std::int64_t(
+                        weights[r * cols + c].twiceValue()) * x[c];
+            }
         }
-        EXPECT_EQ(serial[r], expect) << "row " << r;
-        EXPECT_EQ(ref[r], expect) << "row " << r;
+        EXPECT_EQ(array.gemvReference(x), expect);
+        for (HnKernel kernel : {HnKernel::Scalar, HnKernel::Packed}) {
+            EXPECT_EQ(array.gemvSerial(x, width, nullptr, nullptr, kernel),
+                      expect)
+                << "kernel " << int(kernel);
+        }
+        for (HnSimdLevel level : hnSupportedSimdLevels()) {
+            ScopedHnSimdLevel force(level);
+            EXPECT_EQ(array.gemvSerial(x, width, nullptr, nullptr,
+                                       HnKernel::Simd),
+                      expect)
+                << hnSimdLevelName();
+        }
     }
+}
+
+TEST(HnArrayDeathTest, RefusesARowThatOverflowsItsTemplate)
+{
+    // 16 slices of 32 ports: row 0 (all zero weights) needs no wire,
+    // but row 1 puts 1024 wires into one region, which needs 32 slices.
+    const std::size_t cols = 1024;
+    auto tmpl = makeTemplate(cols, /*slack=*/0.5, /*ports_per_slice=*/32);
+    ASSERT_EQ(tmpl.totalSlices(), 16u);
+    std::vector<Fp4> weights(cols, Fp4::quantize(0.0));
+    weights.resize(2 * cols, Fp4::quantize(1.0));
+    EXPECT_DEATH(HnArray(tmpl, weights, 2, cols),
+                 "row 1 failed to program: weight histogram needs 32 "
+                 "slices but only 16");
 }
 
 TEST(HnArray, GemvRealApproximatesFloatGemv)

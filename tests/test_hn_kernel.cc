@@ -176,9 +176,8 @@ TEST(PackedKernel, NeuronMatchesSerialAcrossWidths)
     const std::size_t cols = 70; // deliberately not a multiple of 64
     const auto tmpl = makeTemplate(cols);
     const auto weights = syntheticFp4Weights(cols, 17);
-    auto topo = WireTopology::program(tmpl, weights);
-    ASSERT_TRUE(topo.has_value());
-    const HardwiredNeuron neuron(std::move(*topo));
+    const HnArray array(tmpl, weights, 1, cols);
+    const HardwiredNeuron neuron = array.neuron(0);
 
     for (unsigned width : {4u, 8u, 16u}) {
         const auto acts = randomActivations(cols, width, width);

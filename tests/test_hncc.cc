@@ -141,7 +141,9 @@ TEST_F(CompilerTest, CompiledTopologiesComputeCorrectly)
                                         cols);
     ASSERT_TRUE(plan.drcClean());
 
-    HardwiredNeuron neuron(plan.topologies()[1]);
+    const WireTopology &topo = plan.topologies()[1];
+    const HnArray row(topo.tmpl(), topo.recoverWeights(), 1, cols);
+    const HardwiredNeuron neuron = row.neuron(0);
     Rng rng(4);
     std::vector<std::int64_t> x(cols);
     std::int64_t expected = 0;
